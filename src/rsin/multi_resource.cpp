@@ -110,7 +110,7 @@ MultiResourceCrossbarSystem::startTransfer(std::size_t proc,
         p.transmitting = false;
         if (p.heldBuses.size() == multi_.resourcesPerRequest)
             beginServicePhase(proc);
-        dispatch();
+        dispatchAll();
     });
 }
 
@@ -140,7 +140,7 @@ MultiResourceCrossbarSystem::beginServicePhase(std::size_t proc)
         for (std::size_t bus : held)
             ++freeRes_[bus];
         completeTask(std::move(task));
-        dispatch();
+        dispatchAll();
     });
 }
 
@@ -175,7 +175,7 @@ MultiResourceCrossbarSystem::checkDeadlock()
     }
     if (!any_blocked_holder)
         return false;
-    // Could anyone make progress right now?  (dispatch() just tried
+    // Could anyone make progress right now?  (dispatchAll() just tried
     // and failed before calling us, so holders are genuinely stuck.)
     ++stats_.deadlocksDetected;
     if (multi_.recovery == DeadlockRecovery::Abort) {
@@ -199,7 +199,7 @@ MultiResourceCrossbarSystem::checkDeadlock()
 }
 
 void
-MultiResourceCrossbarSystem::dispatch()
+MultiResourceCrossbarSystem::dispatchAll()
 {
     for (;;) {
         bool progress = true;

@@ -79,9 +79,11 @@ class MultiResourceCrossbarSystem : public SystemSimulation
     const MultiResourceStats &multiStats() const { return stats_; }
 
   protected:
-    void dispatch() override;
+    /** One network: every event re-examines all processors. */
+    void dispatch(std::size_t) override { dispatchAll(); }
 
   private:
+    void dispatchAll();
     /** A task mid-acquisition at its processor. */
     struct Pending
     {

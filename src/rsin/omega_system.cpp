@@ -54,6 +54,9 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
         net.pool = std::make_unique<sched::ResourcePool>(std::move(types));
         net.router = std::make_unique<sched::OmegaRouter>(
             *net.topo, omegaOptions_.policy);
+        if (omegaOptions_.scheduling == OmegaScheduling::Distributed)
+            net.registers = std::make_unique<sched::AvailabilityRegisters>(
+                *net.router, *net.circuit, *net.pool);
         net.clocked = std::make_unique<sched::ClockedOmegaScheduler>(
             *net.topo, omegaOptions_.policy);
         if (omegaOptions_.modelReturnNetwork) {
@@ -71,10 +74,50 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
 }
 
 void
-OmegaSystem::dispatch()
+OmegaSystem::dispatch(std::size_t)
 {
     for (auto &net : nets_)
         dispatchNet(net);
+}
+
+#if RSIN_CONTRACTS_ENABLED
+void
+OmegaSystem::checkModelStatus() const
+{
+    for (std::size_t n = 0; n < nets_.size(); ++n) {
+        RSIN_INVARIANT(!nets_[n].registers ||
+                           nets_[n].registers->matchesOracle(),
+                       "availability registers of network ", n,
+                       " disagree with a from-scratch rebuild");
+    }
+}
+
+void
+OmegaSystem::debugCorruptRegistersForTest()
+{
+    RSIN_REQUIRE(nets_.front().registers,
+                 "debugCorruptRegistersForTest: needs Distributed "
+                 "scheduling");
+    nets_.front().registers->debugCorruptForTest();
+}
+#endif
+
+void
+OmegaSystem::releasePath(Net &net, const std::vector<std::size_t> &path)
+{
+    if (net.registers)
+        net.registers->releasePath(path);
+    else
+        net.circuit->release(path);
+}
+
+void
+OmegaSystem::releaseResource(Net &net, const sched::ResourceRef &resource)
+{
+    if (net.registers)
+        net.registers->releaseResource(resource);
+    else
+        net.pool->release(resource);
 }
 
 std::optional<sched::RouteResult>
@@ -84,8 +127,7 @@ OmegaSystem::scheduleRequest(Net &net, std::size_t input, std::size_t type)
       case OmegaScheduling::DistributedClocked:
         RSIN_PANIC("scheduleRequest: clocked mode dispatches in batches");
       case OmegaScheduling::Distributed:
-        return net.router->tryRoute(*net.circuit, *net.pool, input, rng(),
-                                    type);
+        return net.registers->tryRoute(input, rng(), type);
       case OmegaScheduling::AddressRandomFree: {
         // Centralized scheduler: pick a random output that has a free
         // resource of the right type, then route by destination tag.
@@ -120,11 +162,11 @@ OmegaSystem::dispatchNetClocked(Net &net)
     // fabric together and contend through stale status, rejects and
     // reroutes; the round's ticks are instantaneous in simulated time
     // (assumption (c): negligible propagation delay).
+    const std::size_t last = net.firstProcessor + net.topo->size();
     std::vector<std::size_t> sources;
-    for (std::size_t input = 0; input < net.topo->size(); ++input) {
-        if (processorReady(net.firstProcessor + input))
-            sources.push_back(input);
-    }
+    for (std::size_t proc = nextReady(net.firstProcessor, last);
+         proc != last; proc = nextReady(proc + 1, last))
+        sources.push_back(proc - net.firstProcessor);
     if (sources.empty())
         return;
     const auto round = net.clocked->scheduleRound(*net.circuit, *net.pool,
@@ -150,13 +192,11 @@ OmegaSystem::dispatchNet(Net &net)
         dispatchNetClocked(net);
         return;
     }
-    const std::size_t size = net.topo->size();
-    for (std::size_t input = 0; input < size; ++input) {
-        const std::size_t proc = net.firstProcessor + input;
-        if (!processorReady(proc))
-            continue;
+    const std::size_t last = net.firstProcessor + net.topo->size();
+    for (std::size_t proc = nextReady(net.firstProcessor, last);
+         proc != last; proc = nextReady(proc + 1, last)) {
         const std::size_t type = headTask(proc).resourceType;
-        auto route = scheduleRequest(net, input, type);
+        auto route = scheduleRequest(net, proc - net.firstProcessor, type);
         if (!route) {
             noteRejection();
             continue;
@@ -178,17 +218,17 @@ OmegaSystem::startOn(Net &net, std::size_t proc, sched::RouteResult route)
                                        task = std::move(task)]() mutable {
         // Data delivered: tear the circuit down; the resource keeps
         // serving after the disconnection (the RSIN property).
-        net.circuit->release(route.path);
+        releasePath(net, route.path);
         endTransmission(proc);
         task.transmitEnd = sim().now();
         sim().schedule(task.serviceTime,
-                       [this, &net, resource = route.resource,
+                       [this, &net, proc, resource = route.resource,
                         task = std::move(task)]() mutable {
-                           net.pool->release(resource);
+                           releaseResource(net, resource);
                            finishService(net, std::move(task));
-                           dispatch();
+                           dispatch(proc);
                        });
-        dispatch();
+        dispatch(proc);
     });
 }
 

@@ -83,8 +83,24 @@ class OmegaSystem : public SystemSimulation
                 const OmegaOptions &omega_options = {},
                 const ShardContext &shard = {});
 
+#if RSIN_CONTRACTS_ENABLED
+    /** TEST ONLY (contract builds): skew one availability register of
+     *  the first network, proving the register contract fires. */
+    void debugCorruptRegistersForTest();
+#endif
+
   protected:
-    void dispatch() override;
+    /**
+     * Re-examine every network: a rejected request is counted (and
+     * under AddressRandomFree draws the RNG) each time it is examined,
+     * so skipping an untouched network would change the statistics.
+     */
+    void dispatch(std::size_t proc) override;
+
+#if RSIN_CONTRACTS_ENABLED
+    /** Every network's availability registers equal a rebuild. */
+    void checkModelStatus() const override;
+#endif
 
   private:
     struct Net
@@ -94,6 +110,9 @@ class OmegaSystem : public SystemSimulation
         std::unique_ptr<topology::CircuitState> circuit;
         std::unique_ptr<sched::ResourcePool> pool;
         std::unique_ptr<sched::OmegaRouter> router;
+        /** Live status (Distributed scheduling only): every claim and
+         *  release of circuit and pool goes through it. */
+        std::unique_ptr<sched::AvailabilityRegisters> registers;
         std::unique_ptr<sched::ClockedOmegaScheduler> clocked;
         /** Return path (only when modelReturnNetwork is set). */
         std::unique_ptr<topology::CircuitState> returnCircuit;
@@ -109,6 +128,8 @@ class OmegaSystem : public SystemSimulation
                                                       std::size_t input,
                                                       std::size_t type);
     void startOn(Net &net, std::size_t proc, sched::RouteResult route);
+    void releasePath(Net &net, const std::vector<std::size_t> &path);
+    void releaseResource(Net &net, const sched::ResourceRef &resource);
 
     std::vector<Net> nets_;
     OmegaOptions omegaOptions_;

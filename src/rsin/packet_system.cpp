@@ -47,7 +47,7 @@ PacketOmegaSystem::networkStats() const
 }
 
 void
-PacketOmegaSystem::dispatch()
+PacketOmegaSystem::dispatchAll()
 {
     for (std::size_t proc = 0; proc < processors(); ++proc) {
         if (!processorReady(proc))
@@ -96,7 +96,7 @@ PacketOmegaSystem::admit(std::size_t proc, std::size_t dst_port)
             // next task (the packet-switching analogue of the RSIN
             // disconnection property).
             endTransmission(proc);
-            dispatch();
+            dispatchAll();
         })
                                    : std::function<void()>());
     }
@@ -121,7 +121,7 @@ PacketOmegaSystem::packetDelivered(const packet::Packet &pkt)
                                       task = std::move(task)]() mutable {
         pool_->release(resource);
         completeTask(std::move(task));
-        dispatch();
+        dispatchAll();
     });
 }
 

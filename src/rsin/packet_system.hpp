@@ -51,9 +51,11 @@ class PacketOmegaSystem : public SystemSimulation
     const packet::NetworkStats &networkStats() const;
 
   protected:
-    void dispatch() override;
+    /** One network: every event re-examines all processors. */
+    void dispatch(std::size_t) override { dispatchAll(); }
 
   private:
+    void dispatchAll();
     struct InFlight
     {
         workload::Task task;

@@ -206,6 +206,7 @@ runPartitioned(const SystemConfig &config,
                             ShardContext{&logs[s], bounds.firstProcessor});
         psim.attach(s, systems[s]->partitionKernel());
         psim.setEventHook(s, [sys = systems[s].get()] {
+            RSIN_IF_CONTRACTS(sys->checkEventContracts();)
             return !sys->captureParked();
         });
     }

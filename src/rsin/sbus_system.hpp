@@ -36,7 +36,8 @@ class SbusSystem : public SystemSimulation
     std::size_t partitions() const { return buses_.size(); }
 
   protected:
-    void dispatch() override;
+    /** Re-examine only @p proc's partition: each bus is independent. */
+    void dispatch(std::size_t proc) override;
 
   private:
     struct Bus
@@ -48,6 +49,7 @@ class SbusSystem : public SystemSimulation
         std::size_t lastProcessor = 0;
     };
 
+    void dispatchBus(std::size_t bus_index);
     void startOn(std::size_t bus_index, std::size_t proc);
 
     std::vector<Bus> buses_;

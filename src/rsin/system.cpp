@@ -48,6 +48,7 @@ SystemSimulation::SystemSimulation(std::size_t processors,
     params_.validate();
     queues_.resize(processors);
     transmitting_.assign(processors, false);
+    ready_.assign((processors + 63) / 64, 0);
     sources_.reserve(processors);
     // A shard reproduces the serial run's per-processor RNG streams by
     // discarding the splits of the processors owned by earlier shards:
@@ -98,6 +99,7 @@ SystemSimulation::scheduleArrival(std::size_t proc)
             sources_[proc].makeTask(sim_.now(), nextTaskId_++);
         queues_[proc].push_back(std::move(task));
         ++queuedNow_;
+        refreshReady(proc);
         if (shard_.capturing()) {
             // Log the step; the merge driver reconstructs the global
             // queue trace and detects global saturation.  The local
@@ -116,16 +118,24 @@ SystemSimulation::scheduleArrival(std::size_t proc)
         }
         checkConservation();
         scheduleArrival(proc);
-        dispatch();
+        dispatch(proc);
     });
 }
 
-bool
-SystemSimulation::processorReady(std::size_t proc) const
+#if RSIN_CONTRACTS_ENABLED
+void
+SystemSimulation::checkEventContracts() const
 {
-    RSIN_ASSERT(proc < queues_.size(), "processorReady: bad processor");
-    return !transmitting_[proc] && !queues_[proc].empty();
+    for (std::size_t proc = 0; proc < queues_.size(); ++proc) {
+        RSIN_INVARIANT(processorReady(proc) ==
+                           (!transmitting_[proc] && !queues_[proc].empty()),
+                       "ready bitset disagrees with processor ", proc,
+                       ": transmitting ", transmitting_[proc],
+                       ", queued ", queues_[proc].size());
+    }
+    checkModelStatus();
 }
+#endif
 
 const workload::Task &
 SystemSimulation::headTask(std::size_t proc) const
@@ -168,6 +178,7 @@ SystemSimulation::beginTransmission(std::size_t proc)
     else
         queueTrace_.record(sim_.now(), static_cast<double>(queuedNow_));
     transmitting_[proc] = true;
+    refreshReady(proc);
     task.transmitStart = sim_.now();
     ++inFlight_;
     checkConservation();
@@ -179,6 +190,7 @@ SystemSimulation::endTransmission(std::size_t proc)
 {
     RSIN_ASSERT(transmitting_[proc], "endTransmission: not transmitting");
     transmitting_[proc] = false;
+    refreshReady(proc);
 }
 
 void
@@ -220,6 +232,7 @@ SystemSimulation::primePartitionedRun()
         for (std::size_t proc = 0; proc < queues_.size(); ++proc)
             scheduleArrival(proc);
     }
+    RSIN_IF_CONTRACTS(checkEventContracts();)
 }
 
 SimResult
@@ -232,7 +245,9 @@ SystemSimulation::run()
         for (std::size_t proc = 0; proc < queues_.size(); ++proc)
             scheduleArrival(proc);
     }
+    RSIN_IF_CONTRACTS(checkEventContracts();)
     while (!done() && sim_.step()) {
+        RSIN_IF_CONTRACTS(checkEventContracts();)
     }
     return assembleSimResult(*metrics_, queueTrace_, saturated_,
                              options_, params_, sim_.now(),

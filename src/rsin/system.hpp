@@ -15,12 +15,27 @@
  *       extension lives in the Omega model);
  *   (f) a processor transmits one task at a time.
  *
- * Subclasses implement dispatch(): examine processor queues and the
- * network/resource state and start every transmission that can start.
- * The base class re-invokes dispatch() after every arrival and
- * completion, which models the broadcast of status-change information.
+ * Dispatch is network-scoped, as the paper's status broadcast is: an
+ * SBUS partition's bus announces its own resource status, and an
+ * interchange box's availability registers change only along the
+ * paths a claim or release touches.  Every event changes the state of
+ * one network -- an arrival at a processor, a transmission or service
+ * ending there -- and ends by calling dispatch(proc) with a processor
+ * of that network.  The model then starts every transmission the new
+ * state permits in that network.  Every other network already started
+ * all it could at its own last dispatch and nothing it depends on has
+ * changed since, so re-examining it would start, draw and count
+ * nothing.  A model whose re-dispatch does have effects elsewhere
+ * (RNG draws, counted rejections, latch state) re-examines every
+ * network instead.
+ *
+ * The base class keeps the set of ready processors (idle, with a task
+ * waiting) as a bitset, updated at arrival, beginTransmission() and
+ * endTransmission(); a model walks one network's contiguous range of
+ * it in ascending processor order with nextReady().
  */
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -183,24 +198,75 @@ class SystemSimulation
 
 #if RSIN_CONTRACTS_ENABLED
     /**
+     * Contract, checked before the first event and after every event:
+     * the ready bitset equals the !transmitting && !queue.empty() scan,
+     * and the model's incremental dispatch status (checkModelStatus)
+     * equals a from-scratch rebuild.
+     */
+    void checkEventContracts() const;
+
+    /**
      * TEST ONLY (contract builds): skew the queued-task counter so the
      * task-conservation contract is violated, proving it fires.
      */
     void debugCorruptConservationForTest() { ++queuedNow_; }
+
+    /**
+     * TEST ONLY (contract builds): flip processor 0's ready bit so the
+     * ready-set contract is violated, proving it fires.
+     */
+    void debugCorruptReadySetForTest() { ready_[0] ^= 1; }
 #endif
 
   protected:
     /**
-     * Start every transmission the current state permits.  Called after
-     * each arrival and each completion event.
+     * Start every transmission the current state permits in the
+     * network of processor @p proc, whose state the current event
+     * changed (see the file comment for why the other networks need no
+     * re-examination).  Called at the end of every arrival, and by the
+     * models at the end of every transmission and service event.
      */
-    virtual void dispatch() = 0;
+    virtual void dispatch(std::size_t proc) = 0;
+
+#if RSIN_CONTRACTS_ENABLED
+    /** Contract hook: compare incremental dispatch status kept by the
+     *  model with a from-scratch rebuild (default: none kept). */
+    virtual void checkModelStatus() const {}
+#endif
 
     /** Simulated-time access for subclasses. */
     des::Simulator &sim() { return sim_; }
 
     /** Is a task waiting at this processor while the processor is idle? */
-    bool processorReady(std::size_t proc) const;
+    bool
+    processorReady(std::size_t proc) const
+    {
+        RSIN_ASSERT(proc < queues_.size(), "processorReady: bad processor");
+        return (ready_[proc / 64] >> (proc % 64)) & 1;
+    }
+
+    /**
+     * First ready processor in [@p from, @p last), or @p last if there
+     * is none: find-first over the ready bitset.
+     */
+    std::size_t
+    nextReady(std::size_t from, std::size_t last) const
+    {
+        RSIN_ASSERT(last <= queues_.size(), "nextReady: bad range");
+        if (from >= last)
+            return last;
+        std::size_t word = from / 64;
+        std::uint64_t bits =
+            ready_[word] & (~std::uint64_t{0} << (from % 64));
+        while (bits == 0) {
+            if (++word * 64 >= last)
+                return last;
+            bits = ready_[word];
+        }
+        const std::size_t proc =
+            word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        return proc < last ? proc : last;
+    }
 
     /** Oldest waiting task at @p proc (valid only if non-empty queue). */
     const workload::Task &headTask(std::size_t proc) const;
@@ -266,6 +332,16 @@ class SystemSimulation
      * event captures that no container tracks.
      */
     void checkConservation() const;
+    /** Set @p proc's ready bit iff it is idle with a task waiting. */
+    void
+    refreshReady(std::size_t proc)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << (proc % 64);
+        if (!transmitting_[proc] && !queues_[proc].empty())
+            ready_[proc / 64] |= bit;
+        else
+            ready_[proc / 64] &= ~bit;
+    }
 
     workload::WorkloadParams params_;
     SimOptions options_;
@@ -274,6 +350,8 @@ class SystemSimulation
     std::vector<workload::TaskSource> sources_;
     std::vector<std::deque<workload::Task>> queues_;
     std::vector<bool> transmitting_;
+    /** Bit p: processor p is idle with a task waiting. */
+    std::vector<std::uint64_t> ready_;
     std::unique_ptr<workload::MetricsCollector> metrics_;
     std::uint64_t nextTaskId_ = 0;
     /** Tasks between beginTransmission() and completeTask(). */

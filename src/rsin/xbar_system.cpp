@@ -18,6 +18,7 @@ CrossbarSystem::CrossbarSystem(const SystemConfig &config,
     RSIN_REQUIRE(config.network == NetworkClass::Crossbar,
                  "CrossbarSystem: config is not an XBAR system: ",
                  config.str());
+    inputsPerNet_ = config.inputsPerNet;
     resourcesPerBus_ = config.resourcesPerPort;
     nets_.resize(config.networks);
     for (std::size_t n = 0; n < nets_.size(); ++n) {
@@ -32,21 +33,27 @@ CrossbarSystem::CrossbarSystem(const SystemConfig &config,
 }
 
 void
-CrossbarSystem::dispatch()
+CrossbarSystem::dispatch(std::size_t proc)
 {
-    for (auto &net : nets_)
-        dispatchNet(net);
+    if (arbitration_ == XbarArbitration::GateLevel) {
+        for (auto &net : nets_)
+            dispatchNetGateLevel(net);
+        return;
+    }
+    dispatchNet(nets_[proc / inputsPerNet_]);
 }
 
 void
 CrossbarSystem::dispatchNetGateLevel(Net &net)
 {
     const std::size_t width = net.lastProcessor - net.firstProcessor;
+    const std::size_t last = net.lastProcessor;
     std::vector<bool> requesting(width, false);
     bool any_request = false;
-    for (std::size_t i = 0; i < width; ++i) {
-        requesting[i] = processorReady(net.firstProcessor + i);
-        any_request |= requesting[i];
+    for (std::size_t proc = nextReady(net.firstProcessor, last);
+         proc != last; proc = nextReady(proc + 1, last)) {
+        requesting[proc - net.firstProcessor] = true;
+        any_request = true;
     }
     if (!any_request)
         return;
@@ -72,21 +79,13 @@ CrossbarSystem::dispatchNetGateLevel(Net &net)
 void
 CrossbarSystem::dispatchNet(Net &net)
 {
-    if (arbitration_ == XbarArbitration::GateLevel) {
-        dispatchNetGateLevel(net);
-        return;
-    }
     // Keep pairing ready processors with eligible buses until one side
     // runs dry.  The crossbar is internally nonblocking, so any ready
     // processor can use any eligible bus.
+    const std::size_t last = net.lastProcessor;
     for (;;) {
-        std::vector<std::size_t> ready;
-        for (std::size_t proc = net.firstProcessor;
-             proc < net.lastProcessor; ++proc) {
-            if (processorReady(proc))
-                ready.push_back(proc);
-        }
-        if (ready.empty())
+        const std::size_t first = nextReady(net.firstProcessor, last);
+        if (first == last)
             return;
         std::size_t bus_index = net.buses.size();
         for (std::size_t b = 0; b < net.buses.size(); ++b) {
@@ -100,14 +99,15 @@ CrossbarSystem::dispatchNet(Net &net)
         if (bus_index == net.buses.size())
             return;
 
-        std::size_t winner = ready.front();
+        // Ready processors are walked in ascending index order.
+        std::size_t winner = first;
         switch (arbitration_) {
           case XbarArbitration::IndexPriority:
-            // ready is already in ascending processor order.
             break;
           case XbarArbitration::FifoArrival: {
             double best = headTask(winner).arrival;
-            for (std::size_t proc : ready) {
+            for (std::size_t proc = nextReady(first + 1, last);
+                 proc != last; proc = nextReady(proc + 1, last)) {
                 const double arrival = headTask(proc).arrival;
                 if (arrival < best) {
                     best = arrival;
@@ -117,8 +117,12 @@ CrossbarSystem::dispatchNet(Net &net)
             break;
           }
           case XbarArbitration::RandomToken:
-            winner = ready[rng().uniformInt(
-                static_cast<std::uint64_t>(ready.size()))];
+            contenders_.clear();
+            for (std::size_t proc = first; proc != last;
+                 proc = nextReady(proc + 1, last))
+                contenders_.push_back(proc);
+            winner = contenders_[rng().uniformInt(
+                static_cast<std::uint64_t>(contenders_.size()))];
             break;
           case XbarArbitration::GateLevel:
             RSIN_PANIC("dispatchNet: gate-level mode dispatches through "
@@ -152,13 +156,13 @@ CrossbarSystem::startOn(Net &net, std::size_t bus_index, std::size_t proc)
         endTransmission(proc);
         task.transmitEnd = sim().now();
         sim().schedule(task.serviceTime,
-                       [this, &net, bus_index,
+                       [this, &net, bus_index, proc,
                         task = std::move(task)]() mutable {
                            --net.buses[bus_index].busyResources;
                            completeTask(std::move(task));
-                           dispatch();
+                           dispatch(proc);
                        });
-        dispatch();
+        dispatch(proc);
     });
 }
 

@@ -52,7 +52,12 @@ class CrossbarSystem : public SystemSimulation
                    const ShardContext &shard = {});
 
   protected:
-    void dispatch() override;
+    /**
+     * Re-examine only @p proc's crossbar under the software
+     * arbitrations; GateLevel re-runs every fabric, whose request
+     * cycles move latch state.
+     */
+    void dispatch(std::size_t proc) override;
 
   private:
     struct Bus
@@ -73,7 +78,9 @@ class CrossbarSystem : public SystemSimulation
     void startOn(Net &net, std::size_t bus_index, std::size_t proc);
 
     std::vector<Net> nets_;
+    std::size_t inputsPerNet_ = 1;
     std::size_t resourcesPerBus_ = 1;
+    std::vector<std::size_t> contenders_; ///< RandomToken scratch
     XbarArbitration arbitration_;
 };
 

@@ -453,6 +453,109 @@ TEST(FaultToleranceTest, FullSubtreeLossIsDetectedByStatus)
     EXPECT_EQ(round.outcomes[0].launches, 0u);
 }
 
+/** A random non-banyan wiring: each stage an arbitrary permutation. */
+MultistageNetwork
+randomCustomNetwork(std::size_t size, std::size_t stages, Rng &rng)
+{
+    std::vector<std::vector<std::size_t>> perms(stages);
+    for (auto &perm : perms) {
+        perm.resize(size);
+        for (std::size_t i = 0; i < size; ++i)
+            perm[i] = i;
+        for (std::size_t i = size; i-- > 1;)
+            std::swap(perm[i], perm[rng.uniformInt(
+                                   static_cast<std::uint64_t>(i + 1))]);
+    }
+    return MultistageNetwork(std::move(perms));
+}
+
+TEST(AvailabilityRegistersTest, TrackTheRebuildAndRouteLikeTheRouter)
+{
+    // Random route / path-release / resource-release traffic over a
+    // typed pool.  After every step the pushed registers must equal the
+    // from-scratch rebuild, and every register route must make the
+    // decision the stateless router makes on a mirrored copy of the
+    // state, drawing the RNG identically.
+    Rng wiring(404);
+    std::vector<MultistageNetwork> nets;
+    nets.emplace_back(MultistageKind::Omega, 8);
+    nets.emplace_back(MultistageKind::IndirectCube, 16);
+    nets.push_back(randomCustomNetwork(8, 3, wiring));
+    for (const auto &net : nets) {
+        for (const RoutingPolicy policy :
+             {RoutingPolicy::MostResources, RoutingPolicy::PreferUpper,
+              RoutingPolicy::RandomTie}) {
+            std::vector<std::vector<std::size_t>> types(net.size());
+            for (std::size_t port = 0; port < net.size(); ++port)
+                types[port] = {port % 2, (port / 2) % 2};
+            CircuitState circuit(net);
+            CircuitState mirrorCircuit(net);
+            ResourcePool pool(types);
+            ResourcePool mirrorPool(types);
+            const OmegaRouter router(net, policy);
+            AvailabilityRegisters registers(router, circuit, pool);
+            Rng rng(11);
+            Rng mirrorRng(11);
+            Rng traffic(12);
+            std::vector<RouteResult> transmitting;
+            std::vector<ResourceRef> serving;
+            std::size_t routed = 0;
+            for (int step = 0; step < 1500; ++step) {
+                const std::uint64_t op = traffic.uniformInt(3);
+                if (op == 0) {
+                    const std::size_t src = traffic.uniformInt(net.size());
+                    const std::size_t type = traffic.uniformInt(3);
+                    const auto a = registers.tryRoute(src, rng, type);
+                    const auto b = router.tryRoute(
+                        mirrorCircuit, mirrorPool, src, mirrorRng, type);
+                    ASSERT_EQ(a.has_value(), b.has_value());
+                    if (a) {
+                        EXPECT_EQ(a->path, b->path);
+                        EXPECT_EQ(a->resource.port, b->resource.port);
+                        EXPECT_EQ(a->resource.index, b->resource.index);
+                        transmitting.push_back(*a);
+                        ++routed;
+                    }
+                } else if (op == 1 && !transmitting.empty()) {
+                    const std::size_t k =
+                        traffic.uniformInt(transmitting.size());
+                    registers.releasePath(transmitting[k].path);
+                    mirrorCircuit.release(transmitting[k].path);
+                    serving.push_back(transmitting[k].resource);
+                    transmitting.erase(transmitting.begin() +
+                                       static_cast<std::ptrdiff_t>(k));
+                } else if (op == 2 && !serving.empty()) {
+                    const std::size_t k = traffic.uniformInt(serving.size());
+                    registers.releaseResource(serving[k]);
+                    mirrorPool.release(serving[k]);
+                    serving.erase(serving.begin() +
+                                  static_cast<std::ptrdiff_t>(k));
+                }
+                ASSERT_TRUE(registers.matchesOracle()) << "step " << step;
+                for (std::size_t src = 0; src < net.size(); ++src)
+                    ASSERT_EQ(registers.availability(src, 1),
+                              router.availability(circuit, pool, src, 1));
+            }
+            EXPECT_GT(routed, 100u);
+            EXPECT_EQ(rng.uniformInt(std::uint64_t{1} << 40),
+                      mirrorRng.uniformInt(std::uint64_t{1} << 40));
+        }
+    }
+}
+
+TEST(AvailabilityRegistersTest, TypeAbsentFromThePoolIsNeverAvailable)
+{
+    const MultistageNetwork net(MultistageKind::Omega, 4);
+    CircuitState circuit(net);
+    ResourcePool pool(4, 1);
+    const OmegaRouter router(net);
+    AvailabilityRegisters registers(router, circuit, pool);
+    Rng rng(5);
+    EXPECT_EQ(registers.availability(0, 0), 4u);
+    EXPECT_EQ(registers.availability(0, 3), 0u);
+    EXPECT_FALSE(registers.tryRoute(0, rng, 3).has_value());
+}
+
 TEST(CentralizedDelayTest, ModelsScaleAsClaimed)
 {
     CentralizedDelayModel model{16, 64};

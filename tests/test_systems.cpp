@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "queueing/mm_queues.hpp"
@@ -437,6 +438,55 @@ TEST(SystemContractTest, CorruptedCountersTripConservationInvariant)
     SbusSystem system(cfg, params, quickOptions());
     system.debugCorruptConservationForTest();
     EXPECT_THROW(system.run(), PanicError);
+#else
+    GTEST_SKIP() << "contract checks compiled out "
+                    "(reconfigure with -DRSIN_CONTRACTS=ON)";
+#endif
+}
+
+#if RSIN_CONTRACTS_ENABLED
+/** Run @p system and return the message of the contract it trips. */
+std::string
+trippedContract(SystemSimulation &system)
+{
+    ScopedPanicThrows guard;
+    try {
+        system.run();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+#endif
+
+TEST(SystemContractTest, CorruptedReadySetTripsReadyInvariant)
+{
+    // Contract builds compare the ready bitset that dispatch walks with
+    // a scan of the queues and transmit flags before the first event
+    // and after every event.  Flip one bit and prove it fires.
+#if RSIN_CONTRACTS_ENABLED
+    const auto cfg = SystemConfig::parse("8/2x1x1 SBUS/2");
+    SbusSystem system(cfg, makeParams(0.08, 1.0, 0.5), quickOptions());
+    system.debugCorruptReadySetForTest();
+    EXPECT_NE(trippedContract(system).find("ready bitset disagrees"),
+              std::string::npos);
+#else
+    GTEST_SKIP() << "contract checks compiled out "
+                    "(reconfigure with -DRSIN_CONTRACTS=ON)";
+#endif
+}
+
+TEST(SystemContractTest, CorruptedRegistersTripRegisterInvariant)
+{
+    // Contract builds compare every Omega availability register with a
+    // from-scratch rebuild before the first event and after every
+    // event.  Skew one register and prove it fires.
+#if RSIN_CONTRACTS_ENABLED
+    const auto cfg = SystemConfig::parse("16/2x8x8 OMEGA/2");
+    OmegaSystem system(cfg, makeParams(0.3, 1.0, 1.0), quickOptions());
+    system.debugCorruptRegistersForTest();
+    EXPECT_NE(trippedContract(system).find("availability registers"),
+              std::string::npos);
 #else
     GTEST_SKIP() << "contract checks compiled out "
                     "(reconfigure with -DRSIN_CONTRACTS=ON)";
