@@ -66,6 +66,7 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
             net.returnBusy.assign(config.outputsPerNet, false);
         }
     }
+    headRejections_.assign(config.processors, 0);
     if (omegaOptions_.scheduling == OmegaScheduling::DistributedClocked) {
         RSIN_REQUIRE(params.resourceTypes == 1,
                      "OmegaSystem: the clocked-box scheduler handles a "
@@ -174,6 +175,7 @@ OmegaSystem::dispatchNetClocked(Net &net)
     for (const auto &outcome : round.outcomes) {
         if (!outcome.served) {
             noteRejection();
+            ++headRejections_[net.firstProcessor + outcome.src];
             continue;
         }
         sched::RouteResult route;
@@ -199,6 +201,7 @@ OmegaSystem::dispatchNet(Net &net)
         auto route = scheduleRequest(net, proc - net.firstProcessor, type);
         if (!route) {
             noteRejection();
+            ++headRejections_[proc];
             continue;
         }
         startOn(net, proc, std::move(*route));
@@ -209,7 +212,8 @@ void
 OmegaSystem::startOn(Net &net, std::size_t proc, sched::RouteResult route)
 {
     workload::Task task = beginTransmission(proc);
-    task.routingAttempts = 1;
+    task.routingAttempts = headRejections_[proc] + 1;
+    headRejections_[proc] = 0;
     task.resource = route.outputPort;
     task.boxesTraversed =
         static_cast<std::uint32_t>(route.boxesTraversed);

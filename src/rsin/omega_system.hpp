@@ -19,6 +19,7 @@
  *    lowest-numbered free output.
  */
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -133,6 +134,9 @@ class OmegaSystem : public SystemSimulation
 
     std::vector<Net> nets_;
     OmegaOptions omegaOptions_;
+    /** Rejections of each processor's current head task, so that
+     *  routingAttempts = rejections + 1 when it finally connects. */
+    std::vector<std::uint32_t> headRejections_;
 };
 
 } // namespace rsin

@@ -259,36 +259,36 @@ const Pinned kPinned[] = {
     {"xbar/fifo", 0xc4af3761eace695aull, 0x4a542a7eb18a78faull},
     {"xbar/token", 0xc30eb86d0ecb42f1ull, 0x4a542a7eb18a78faull},
     {"xbar/gate", 0x184b5cd8050b6e30ull, 0x4a542a7eb18a78faull},
-    {"OMEGA/distributed/most", 0x4a92597dc0b3953dull, 0x4a542a7eb18a78faull},
-    {"OMEGA/distributed/upper", 0x8841586473491c9full, 0x4a542a7eb18a78faull},
-    {"OMEGA/distributed/random", 0x641945bd7b1d169bull, 0x4a542a7eb18a78faull},
-    {"OMEGA/clocked/most", 0x2fd8ed1f484f91e1ull, 0x4a542a7eb18a78faull},
-    {"OMEGA/clocked/upper", 0x5547bf6b22d06945ull, 0x4a542a7eb18a78faull},
-    {"OMEGA/clocked/random", 0x1678def77ba2a5acull, 0x4a542a7eb18a78faull},
-    {"OMEGA/addr-random/most", 0x04d888d3ff325acfull, 0x4a542a7eb18a78faull},
-    {"OMEGA/addr-random/upper", 0x04d888d3ff325acfull, 0x4a542a7eb18a78faull},
-    {"OMEGA/addr-random/random", 0x04d888d3ff325acfull, 0x4a542a7eb18a78faull},
-    {"OMEGA/addr-first/most", 0x214e4633914ceff2ull, 0x4a542a7eb18a78faull},
-    {"OMEGA/addr-first/upper", 0x214e4633914ceff2ull, 0x4a542a7eb18a78faull},
-    {"OMEGA/addr-first/random", 0x214e4633914ceff2ull, 0x4a542a7eb18a78faull},
-    {"CUBE/distributed/most", 0xca6f5f1290575fa7ull, 0x4a542a7eb18a78faull},
-    {"CUBE/distributed/upper", 0x243dda124d137adcull, 0x4a542a7eb18a78faull},
-    {"CUBE/distributed/random", 0x80b9933bf4f12703ull, 0x4a542a7eb18a78faull},
-    {"CUBE/clocked/most", 0xc0be819905974cb8ull, 0x4a542a7eb18a78faull},
-    {"CUBE/clocked/upper", 0x4c290e673237cebeull, 0x4a542a7eb18a78faull},
-    {"CUBE/clocked/random", 0x469ef09411fca515ull, 0x4a542a7eb18a78faull},
-    {"CUBE/addr-random/most", 0x9a0a52d172bee5b3ull, 0x4a542a7eb18a78faull},
-    {"CUBE/addr-random/upper", 0x9a0a52d172bee5b3ull, 0x4a542a7eb18a78faull},
-    {"CUBE/addr-random/random", 0x9a0a52d172bee5b3ull, 0x4a542a7eb18a78faull},
-    {"CUBE/addr-first/most", 0xc7de3f79177eb9f1ull, 0x4a542a7eb18a78faull},
-    {"CUBE/addr-first/upper", 0xc7de3f79177eb9f1ull, 0x4a542a7eb18a78faull},
-    {"CUBE/addr-first/random", 0xc7de3f79177eb9f1ull, 0x4a542a7eb18a78faull},
-    {"typed/round-robin/distributed", 0x6a67fe1870239babull, 0x4a542a7eb18a78faull},
-    {"typed/round-robin/addr-random", 0x765cb60210d03964ull, 0x4a542a7eb18a78faull},
-    {"typed/clustered/distributed", 0x46f9d68d6d8b3dffull, 0x4a542a7eb18a78faull},
-    {"typed/clustered/addr-random", 0x648f75d2c2ff73f7ull, 0x4a542a7eb18a78faull},
-    {"omega/return-network", 0xeb59a3843b422364ull, 0x4a542a7eb18a78faull},
-    {"omega/shards2", 0x3b171d0bc3b7a759ull, 0x4a542a7eb18a78faull},
+    {"OMEGA/distributed/most", 0x4a92597dc0b3953dull, 0xc3e99fc261d65ba0ull},
+    {"OMEGA/distributed/upper", 0x8841586473491c9full, 0x813f86f117a6c690ull},
+    {"OMEGA/distributed/random", 0x641945bd7b1d169bull, 0x3481718493b96255ull},
+    {"OMEGA/clocked/most", 0x2fd8ed1f484f91e1ull, 0xc3e99fc261d65ba0ull},
+    {"OMEGA/clocked/upper", 0x5547bf6b22d06945ull, 0x813f86f117a6c690ull},
+    {"OMEGA/clocked/random", 0x1678def77ba2a5acull, 0x7f252adece0c14cbull},
+    {"OMEGA/addr-random/most", 0x04d888d3ff325acfull, 0xe48a9dbc07ce31b0ull},
+    {"OMEGA/addr-random/upper", 0x04d888d3ff325acfull, 0xe48a9dbc07ce31b0ull},
+    {"OMEGA/addr-random/random", 0x04d888d3ff325acfull, 0xe48a9dbc07ce31b0ull},
+    {"OMEGA/addr-first/most", 0x214e4633914ceff2ull, 0x30e953e47fad25fcull},
+    {"OMEGA/addr-first/upper", 0x214e4633914ceff2ull, 0x30e953e47fad25fcull},
+    {"OMEGA/addr-first/random", 0x214e4633914ceff2ull, 0x30e953e47fad25fcull},
+    {"CUBE/distributed/most", 0xca6f5f1290575fa7ull, 0x9e80531c749a6a47ull},
+    {"CUBE/distributed/upper", 0x243dda124d137adcull, 0xdcd6c7141d0b3813ull},
+    {"CUBE/distributed/random", 0x80b9933bf4f12703ull, 0xd95b40db58689326ull},
+    {"CUBE/clocked/most", 0xc0be819905974cb8ull, 0x2f096a541bdf4020ull},
+    {"CUBE/clocked/upper", 0x4c290e673237cebeull, 0xdcd6c7141d0b3813ull},
+    {"CUBE/clocked/random", 0x469ef09411fca515ull, 0xf5226f70e2d9571aull},
+    {"CUBE/addr-random/most", 0x9a0a52d172bee5b3ull, 0xf51bcbdc21b3c53dull},
+    {"CUBE/addr-random/upper", 0x9a0a52d172bee5b3ull, 0xf51bcbdc21b3c53dull},
+    {"CUBE/addr-random/random", 0x9a0a52d172bee5b3ull, 0xf51bcbdc21b3c53dull},
+    {"CUBE/addr-first/most", 0xc7de3f79177eb9f1ull, 0xb3e298d4cc0fc966ull},
+    {"CUBE/addr-first/upper", 0xc7de3f79177eb9f1ull, 0xb3e298d4cc0fc966ull},
+    {"CUBE/addr-first/random", 0xc7de3f79177eb9f1ull, 0xb3e298d4cc0fc966ull},
+    {"typed/round-robin/distributed", 0x6a67fe1870239babull, 0xed3bd64e6202a888ull},
+    {"typed/round-robin/addr-random", 0x765cb60210d03964ull, 0x98d8ed023477f531ull},
+    {"typed/clustered/distributed", 0x46f9d68d6d8b3dffull, 0x76ee5f56ed3802a4ull},
+    {"typed/clustered/addr-random", 0x648f75d2c2ff73f7ull, 0xdb032f38dfbb1cc9ull},
+    {"omega/return-network", 0xeb59a3843b422364ull, 0xa5f962b9b7d5661bull},
+    {"omega/shards2", 0x3b171d0bc3b7a759ull, 0x5f14c16459ccc015ull},
 };
 // clang-format on
 

@@ -415,6 +415,45 @@ TEST(PastaTest, NoWaitProbabilityMatchesMarkov)
     EXPECT_NEAR(sim.fractionNoWait, analytic.probNoWait, 0.02);
 }
 
+TEST(OmegaSystemTest, RoutingAttemptsCountTheHeadTasksRejections)
+{
+    // routingAttempts is rejections + 1: under heavy load a task's
+    // first route attempts fail, so the mean exceeds 1, and the
+    // attempts beyond the first of the measured tasks cannot exceed
+    // the rejections of the whole run.  Checked for the distributed
+    // and the clocked router, serially and with the partitioned
+    // completion log carrying the count.
+    struct Case
+    {
+        const char *config;
+        OmegaScheduling scheduling;
+        std::size_t shards;
+    };
+    for (const Case &c :
+         {Case{"64/1x64x64 OMEGA/1", OmegaScheduling::Distributed, 1},
+          Case{"64/1x64x64 OMEGA/1", OmegaScheduling::DistributedClocked,
+               1},
+          Case{"32/2x16x16 OMEGA/1", OmegaScheduling::Distributed, 2}}) {
+        const auto cfg = SystemConfig::parse(c.config);
+        const double mu_s = 0.1;
+        const auto params = makeParams(
+            lambdaForRho(cfg, 0.9, 1.0, mu_s), 1.0, mu_s);
+        SimOptions opts = quickOptions(17);
+        opts.warmupTasks = 1000;
+        opts.measureTasks = 5000;
+        opts.shards = c.shards;
+        ModelOptions model;
+        model.omega.scheduling = c.scheduling;
+        const auto res = simulate(cfg, params, opts, model);
+        ASSERT_TRUE(res.ok()) << c.config;
+        EXPECT_GT(res.meanRoutingAttempts, 1.0) << c.config;
+        const double extra = (res.meanRoutingAttempts - 1.0) *
+                             static_cast<double>(res.countedTasks);
+        EXPECT_LE(extra, static_cast<double>(res.rejections) + 0.5)
+            << c.config;
+    }
+}
+
 TEST(SimulationDeterminismTest, SameSeedSameResult)
 {
     const auto cfg = SystemConfig::parse("8/1x8x8 OMEGA/2");
