@@ -211,14 +211,6 @@ CircuitState::CircuitState(const MultistageNetwork &net)
 {
 }
 
-bool
-CircuitState::segmentFree(std::size_t boundary, std::size_t link) const
-{
-    RSIN_REQUIRE(boundary < busy_.size() && link < net_->size(),
-                 "segmentFree: out of range");
-    return !busy_[boundary][link];
-}
-
 void
 CircuitState::claimSegment(std::size_t boundary, std::size_t link)
 {

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace rsin {
 namespace topology {
 
@@ -126,7 +128,13 @@ class CircuitState
 
     const MultistageNetwork &network() const { return *net_; }
 
-    bool segmentFree(std::size_t boundary, std::size_t link) const;
+    bool
+    segmentFree(std::size_t boundary, std::size_t link) const
+    {
+        RSIN_REQUIRE(boundary < busy_.size() && link < net_->size(),
+                     "segmentFree: out of range");
+        return !busy_[boundary][link];
+    }
 
     /** Claim one segment; it must currently be free. */
     void claimSegment(std::size_t boundary, std::size_t link);
