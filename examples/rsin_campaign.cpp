@@ -164,7 +164,7 @@ simulationRecord(const CampaignSpec &spec, const CampaignCell &cell,
 
 obs::RunRecord
 analyticRecord(const CampaignSpec &spec, const CampaignCell &cell,
-               const markov::SbusSolution &sol)
+               const markov::SbusSolution &sol, double wall_seconds)
 {
     obs::RunRecord rec;
     rec.curve = cellCurve(spec, cell);
@@ -175,6 +175,7 @@ analyticRecord(const CampaignSpec &spec, const CampaignCell &cell,
     rec.muN = spec.muN;
     rec.muS = spec.muN * cell.ratio;
     rec.replication = -1;
+    rec.wallSeconds = wall_seconds;
     rec.result.status =
         sol.stable ? RunStatus::Ok : RunStatus::Saturated;
     rec.result.saturated = !sol.stable;
@@ -309,8 +310,18 @@ main(int argc, char **argv)
             pool = std::make_unique<exec::ThreadPool>(jobs);
         const bool sharded = shards != 1;
 
+        // Wall time of one cell or of the whole sweep; zero under
+        // --deterministic so that record bytes repeat across runs.
+        const auto since = [deterministic](const auto &t0) {
+            const std::chrono::duration<double> dt =
+                std::chrono::steady_clock::now() - t0;
+            return deterministic ? 0.0 : dt.count();
+        };
+        const auto sweep_t0 = std::chrono::steady_clock::now();
+
         // Analytic cells first: cheap deterministic solver points,
-        // served from (and refilling) the persisted memo.
+        // served from (and refilling) the persisted memo.  Each record
+        // carries its solve (or cache-lookup) time.
         std::vector<const CampaignCell *> sim_cells;
         for (const CampaignCell *cell : todo) {
             if (!cell->analytic) {
@@ -319,6 +330,7 @@ main(int argc, char **argv)
             }
             const auto &cfg = spec.configs[cell->configIndex];
             const double mu_s = spec.muN * cell->ratio;
+            const auto t0 = std::chrono::steady_clock::now();
             const auto sol =
                 cfg.network == NetworkClass::SingleBus
                     ? analyzeSbus(cfg, cell->lambda, spec.muN, mu_s)
@@ -327,7 +339,8 @@ main(int argc, char **argv)
                     : omegaExact(cfg, cell->lambda, spec.muN, mu_s);
             kill.maybeKill(
                 writer.append(cell->key,
-                              analyticRecord(spec, *cell, sol)));
+                              analyticRecord(spec, *cell, sol,
+                                             since(t0))));
         }
 
         // Simulation cells through the explicit-cell-list scheduling
@@ -359,12 +372,10 @@ main(int argc, char **argv)
                 spec.configs[cell.configIndex],
                 cellWorkload(spec, cell), opts, cellModel(spec, cell),
                 sharded ? pool.get() : nullptr);
-            const std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - t0;
-            const double wall = deterministic ? 0.0 : dt.count();
             kill.maybeKill(writer.append(
-                cell.key, simulationRecord(spec, cell, res, wall)));
+                cell.key, simulationRecord(spec, cell, res, since(t0))));
         });
+        const double sweep_wall = since(sweep_t0);
         writer.close();
         AnalysisCache::global().save(cache_path);
 
@@ -385,7 +396,7 @@ main(int argc, char **argv)
             // produced each record.
             for (const auto &[key, entry] : merged.entries)
                 log.add(entry.record);
-            log.noteSweep(observer.stats(), 0.0);
+            log.noteSweep(observer.stats(), sweep_wall);
             log.writeFile(out, out_format);
             std::cout << "wrote " << log.size() << " run records to "
                       << out << "\n";

@@ -389,6 +389,38 @@ TEST(CampaignResumeTest, KillAndResumeIsBitIdenticalToOneShot)
     EXPECT_TRUE(common::fileExists(crashed + "/analysis_cache.txt"));
 }
 
+TEST(CampaignExportTest, FreshExportCarriesSweepAndAnalyticWallTimes)
+{
+    // Without --deterministic the export says what the campaign cost:
+    // the sweep header its wall time, and every analytic record the
+    // time of its solve (or cache lookup).
+    const std::string dir = scratchDir("campaign_walls");
+    const std::string out = dir + ".json";
+    const std::string cmd =
+        std::string(RSIN_CAMPAIGN_BIN) +
+        " '8/8x1x1 SBUS/2' --ratios 0.5 --steps 2 --tasks 300" +
+        " --seed 5 --ledger " + dir + " --out " + out + " > " + dir +
+        ".log 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    const auto text = common::readFile(out);
+    ASSERT_TRUE(text.has_value());
+    const obs::JsonValue doc = obs::parseJson(*text);
+    const obs::JsonValue *sweep = doc.find("sweep");
+    ASSERT_NE(sweep, nullptr);
+    ASSERT_NE(sweep->find("wall_seconds"), nullptr);
+    EXPECT_GT(sweep->find("wall_seconds")->asDouble(), 0.0);
+    const obs::JsonValue *records = doc.find("records");
+    ASSERT_NE(records, nullptr);
+    std::size_t analytic = 0;
+    for (const obs::JsonValue &rec : records->items) {
+        if (rec.find("kind")->asString() != "analytic")
+            continue;
+        ++analytic;
+        EXPECT_GT(rec.find("wall_seconds")->asDouble(), 0.0);
+    }
+    EXPECT_EQ(analytic, 2u);
+}
+
 TEST(CampaignResumeTest, AnalyticCellsAreServedFromPersistedCache)
 {
     const std::string dir = scratchDir("campaign_cache");
