@@ -316,10 +316,11 @@ BM_PartitionedDes(benchmark::State &state)
     // Parallel-in-run DES on a large-p SBUS system: the arg is the
     // shard count (1 = the serial oracle).  Every shard count computes
     // the bit-identical result, so the ratio between the /1 and /4
-    // rows is the pure engine speedup.  At this p the win has two
-    // parts: threads, plus the smaller per-shard calendars (cheaper
-    // slab operations), which is why /4 beats /1 by >2x even on a
-    // single-CPU host.
+    // rows is the pure engine speedup: threads, plus the smaller
+    // per-shard calendars (cheaper slab operations).  Before dispatch
+    // was network-scoped, each shard also scanned only its quarter of
+    // the buses after every event, which made up most of the >2x that
+    // /4 used to gain over /1 on a single-CPU host (docs/PERF.md).
     const auto shards = static_cast<std::size_t>(state.range(0));
     const auto cfg = SystemConfig::parse("16384/1024x1x1 SBUS/2");
     workload::WorkloadParams params;
@@ -344,6 +345,33 @@ BM_PartitionedDes(benchmark::State &state)
 }
 BENCHMARK(BM_PartitionedDes)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_SbusManyNetsDispatch(benchmark::State &state)
+{
+    // Serial 1024-network SBUS: with a trivial router, the per-event
+    // cost is the dispatch of the one partition an event touched plus
+    // the event calendar.  Items are fired events, so the rate reads
+    // as events per second.
+    const auto cfg = SystemConfig::parse("4096/1024x1x1 SBUS/2");
+    workload::WorkloadParams params;
+    params.muN = 1.0;
+    params.muS = 0.1;
+    params.lambda = lambdaForRho(cfg, 0.2, params.muN, params.muS);
+    std::uint64_t fired = 0;
+    for (auto _ : state) {
+        SimOptions opts;
+        opts.seed = 3;
+        opts.warmupTasks = 1000;
+        opts.measureTasks = 10000;
+        auto res = simulate(cfg, params, opts);
+        // rsin-lint: allow(R5): timing kernel discards the estimate
+        benchmark::DoNotOptimize(res.meanDelay);
+        fired += res.kernel.fired;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_SbusManyNetsDispatch)->Unit(benchmark::kMillisecond);
 
 void
 BM_EndToEndOmegaSimulation(benchmark::State &state)
