@@ -10,10 +10,13 @@
 #              (build-asan/).  Catches heap errors in the DES arenas,
 #              container misuse, signed overflow, bad shifts.
 #   tsan       ThreadSanitizer build of the concurrency-sensitive
-#              suites (test_exec, test_des, test_partitioned) and
-#              runs them
-#              (build-tsan/).  Catches races in the thread pool and
-#              the sweep runner.
+#              suites (test_exec, test_des, test_partitioned,
+#              test_analysis_cache, test_obs, test_campaign minus its
+#              slow CampaignResumeTest cases) plus one figure bench
+#              and a tiny campaign, each at --jobs 4 (build-tsan/).
+#              Catches races in the thread pool, the sweep runner,
+#              the analysis cache, RunLog, the ledger writer and the
+#              bench/campaign worker fan-out.
 #   contracts  Debug build with -DRSIN_CONTRACTS=ON, full ctest suite
 #              (build-contracts/).  Runtime invariants fire: calendar
 #              heap order, per-fire time monotonicity, task
@@ -54,12 +57,28 @@ run_tsan() {
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
         "$@"
     cmake --build "$build" --target test_exec test_des test_partitioned \
-        -j "$(nproc)"
+        test_analysis_cache test_obs test_campaign rsin_campaign \
+        fig04_sbus_ratio01 -j "$(nproc)"
     status=0
-    for t in test_exec test_des test_partitioned; do
+    for t in test_exec test_des test_partitioned test_analysis_cache \
+             test_obs; do
         echo "== TSan: $t =="
         "$build/tests/$t" || status=1
     done
+    # The resume tests solve the 495-phase OMEGA chain for ~30-60 s
+    # each without instrumentation; the concurrent ledger test and the
+    # export test (which drives the TSan-built rsin_campaign) stay in.
+    echo "== TSan: test_campaign =="
+    "$build/tests/test_campaign" --gtest_filter='-CampaignResumeTest.*' ||
+        status=1
+    echo "== TSan: fig04_sbus_ratio01 --jobs 4 =="
+    "$build/bench/fig04_sbus_ratio01" --jobs 4 > /dev/null || status=1
+    echo "== TSan: rsin_campaign --jobs 4 =="
+    ledger="$build/tsan_campaign"
+    rm -rf "$ledger"
+    "$build/examples/rsin_campaign" '8/8x1x1 SBUS/2' --ratios 0.5 \
+        --steps 2 --tasks 300 --replications 2 --seed 3 --jobs 4 \
+        --ledger "$ledger" > /dev/null || status=1
     return $status
 }
 

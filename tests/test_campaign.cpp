@@ -9,6 +9,7 @@
  * be bit-identical to an uninterrupted run.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 #include "common/rng.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
 #include "rsin/campaign.hpp"
@@ -306,6 +308,30 @@ TEST(LedgerWriterTest, RefusesForeignManifest)
     EXPECT_THROW(obs::LedgerWriter(dir, 0, "spec-B"), FatalError);
     EXPECT_THROW(obs::replayLedger(dir, "spec-B"), FatalError);
     EXPECT_EQ(obs::replayLedger(dir, "spec-A").entries.size(), 1u);
+}
+
+TEST(LedgerWriterTest, ConcurrentAppendsFromPoolWorkersReplayWhole)
+{
+    // Campaign workers append through one writer; every record must
+    // land whole and every append must see a distinct running count.
+    const std::string dir = scratchDir("ledger_concurrent");
+    std::vector<std::size_t> counts(40);
+    {
+        obs::LedgerWriter writer(dir, 0, "spec-A", 8);
+        exec::ThreadPool pool(4);
+        pool.parallelFor(counts.size(), [&](std::size_t i) {
+            counts[i] = writer.append(
+                "cell-" + std::to_string(i),
+                sampleRecord(0.01 * static_cast<double>(i), i));
+        });
+        writer.close();
+    }
+    std::sort(counts.begin(), counts.end());
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        EXPECT_EQ(counts[i], i + 1);
+    const auto replay = obs::replayLedger(dir, "spec-A");
+    EXPECT_EQ(replay.entries.size(), counts.size());
+    EXPECT_EQ(replay.tornRecords, 0u);
 }
 
 #ifdef RSIN_CAMPAIGN_BIN

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "common/fsio.hpp"
 #include "common/text.hpp"
 #include "exec/sweep_runner.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/run_log.hpp"
 #include "obs/run_record.hpp"
@@ -408,6 +410,24 @@ TEST(RunLogTest, CsvRowsMatchTheHeaderWidth)
     // No-data metrics appear as the text "nan", never as 0.
     EXPECT_NE(lines[2].find(",no_data,"), std::string::npos);
     EXPECT_NE(lines[2].find(",nan,"), std::string::npos);
+}
+
+TEST(RunLogTest, ConcurrentAddsFromPoolWorkersAreAllKept)
+{
+    // Figure benches append records from sweep workers; under TSan
+    // this is the check that RunLog's internal mutex covers add().
+    obs::RunLog log;
+    exec::ThreadPool pool(4);
+    pool.parallelFor(64, [&](std::size_t i) {
+        obs::RunRecord rec = sampleRecord();
+        rec.seed = i;
+        log.add(std::move(rec));
+    });
+    std::set<std::uint64_t> seeds;
+    for (const obs::RunRecord &rec : log.records())
+        seeds.insert(rec.seed);
+    EXPECT_EQ(log.size(), 64u);
+    EXPECT_EQ(seeds.size(), 64u);
 }
 
 TEST(RunLogTest, CsvRoundTripsEvilCurveNamesThroughCsvSplit)
