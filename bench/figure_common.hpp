@@ -64,7 +64,9 @@ struct BenchContext
 inline BenchContext &
 benchContext()
 {
-    // rsin-lint: allow(R10): audited 2026-08: ctx is fully initialized by initBench() before any worker spawns; workers only read pool/observer/shards and append through RunLog, which guards its records with an internal mutex
+    // Fully initialized by initBench() before any worker spawns;
+    // workers only read pool/observer/shards and append through
+    // RunLog, which guards its records with an internal mutex.
     static BenchContext ctx;
     return ctx;
 }
@@ -227,19 +229,6 @@ logPoint(const std::string &curve, const std::string &config,
     runLog().add(std::move(rec));
 }
 
-/** SimResult view of an analytic solver point, for the run log. */
-inline SimResult
-analyticResult(bool stable, double queueing_delay,
-               double normalized_delay)
-{
-    SimResult res;
-    res.status = stable ? RunStatus::Ok : RunStatus::Saturated;
-    res.saturated = !stable;
-    res.meanDelay = queueing_delay;
-    res.normalizedDelay = normalized_delay;
-    return res;
-}
-
 /**
  * Build a Curve from any analytic solver closure (lambda ->
  * markov::SbusSolution), logging each point as an Analytic record.
@@ -260,20 +249,23 @@ analyticCurve(const std::string &name, const std::string &config_text,
     for (std::size_t p = 0; p < grid.size(); ++p)
         lambdas[p] = lambdaAt(grid[p], mu_n, mu_s);
     std::vector<markov::SbusSolution> sols(grid.size());
+    std::vector<double> wall(grid.size(), 0.0);
     const exec::SweepRunner runner(sweepPool(),
                                    benchContext().observer.get());
     runner.run(1, grid.size(), 1, 0,
                [&](const exec::SweepCell &sweep_cell) {
+                   const auto start = std::chrono::steady_clock::now();
                    sols[sweep_cell.point] = solve(lambdas[sweep_cell.point]);
+                   const std::chrono::duration<double> dt =
+                       std::chrono::steady_clock::now() - start;
+                   wall[sweep_cell.point] = dt.count();
                });
     for (std::size_t p = 0; p < grid.size(); ++p) {
         const markov::SbusSolution &sol = sols[p];
         curve.cells.push_back(cell(sol.normalizedDelay, sol.stable));
-        logPoint(name, config_text, obs::RecordKind::Analytic, grid[p],
-                 lambdas[p], mu_n, mu_s, 0, -1,
-                 analyticResult(sol.stable, sol.queueingDelay,
-                                sol.normalizedDelay),
-                 0.0, curve.cells.back());
+        runLog().add(obs::analyticRecord(name, config_text, grid[p],
+                                         lambdas[p], mu_n, mu_s, sol,
+                                         wall[p], curve.cells.back()));
     }
     return curve;
 }

@@ -162,33 +162,6 @@ simulationRecord(const CampaignSpec &spec, const CampaignCell &cell,
     return rec;
 }
 
-obs::RunRecord
-analyticRecord(const CampaignSpec &spec, const CampaignCell &cell,
-               const markov::SbusSolution &sol, double wall_seconds)
-{
-    obs::RunRecord rec;
-    rec.curve = cellCurve(spec, cell);
-    rec.config = spec.configs[cell.configIndex].str();
-    rec.kind = obs::RecordKind::Analytic;
-    rec.rho = cell.rho;
-    rec.lambda = cell.lambda;
-    rec.muN = spec.muN;
-    rec.muS = spec.muN * cell.ratio;
-    rec.replication = -1;
-    rec.wallSeconds = wall_seconds;
-    rec.result.status =
-        sol.stable ? RunStatus::Ok : RunStatus::Saturated;
-    rec.result.saturated = !sol.stable;
-    rec.result.meanDelay = sol.queueingDelay;
-    rec.result.normalizedDelay = sol.normalizedDelay;
-    rec.result.timeAvgQueue = sol.meanQueueLength;
-    rec.result.fractionNoWait = sol.probNoWait;
-    rec.result.shardsUsed = 0; // no calendar ran
-    rec.display =
-        sol.stable ? formatf("%.5f", sol.normalizedDelay) : "inf";
-    return rec;
-}
-
 } // namespace
 
 int
@@ -337,10 +310,13 @@ main(int argc, char **argv)
                 : xbarExactInRange(cfg)
                     ? xbarExact(cfg, cell->lambda, spec.muN, mu_s)
                     : omegaExact(cfg, cell->lambda, spec.muN, mu_s);
-            kill.maybeKill(
-                writer.append(cell->key,
-                              analyticRecord(spec, *cell, sol,
-                                             since(t0))));
+            kill.maybeKill(writer.append(
+                cell->key,
+                obs::analyticRecord(
+                    cellCurve(spec, *cell), cfg.str(), cell->rho,
+                    cell->lambda, spec.muN, mu_s, sol, since(t0),
+                    sol.stable ? formatf("%.5f", sol.normalizedDelay)
+                               : "inf")));
         }
 
         // Simulation cells through the explicit-cell-list scheduling

@@ -208,30 +208,20 @@ main(int argc, char **argv)
                 }
                 if (args.flag("analytic") &&
                     cfg.network == NetworkClass::SingleBus) {
+                    const auto t0 = std::chrono::steady_clock::now();
                     const auto sol = analyzeSbus(cfg, lambda, mu_n, mu_s);
+                    const std::chrono::duration<double> dt =
+                        std::chrono::steady_clock::now() - t0;
                     // The analytic column always reports mu_s*d (the
                     // Markov model covers the queueing delay only).
                     row.push_back(sol.stable
                                       ? formatf("%.5f",
                                                 sol.normalizedDelay)
                                       : "inf");
-                    obs::RunRecord rec;
-                    rec.curve = cfg.str() + " (analytic)";
-                    rec.config = cfg.str();
-                    rec.kind = obs::RecordKind::Analytic;
-                    rec.rho = rho;
-                    rec.lambda = lambda;
-                    rec.muN = mu_n;
-                    rec.muS = mu_s;
-                    rec.replication = -1;
-                    rec.display = row.back();
-                    rec.result.status = sol.stable
-                                            ? RunStatus::Ok
-                                            : RunStatus::Saturated;
-                    rec.result.saturated = !sol.stable;
-                    rec.result.meanDelay = sol.queueingDelay;
-                    rec.result.normalizedDelay = sol.normalizedDelay;
-                    log.add(std::move(rec));
+                    log.add(obs::analyticRecord(
+                        cfg.str() + " (analytic)", cfg.str(), rho,
+                        lambda, mu_n, mu_s, sol, dt.count(),
+                        row.back()));
                 }
             }
             table.row(std::move(row));

@@ -1,9 +1,11 @@
 #include "run_record.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/text.hpp"
+#include "markov/sbus_solvers.hpp"
 #include "obs/json.hpp"
 
 namespace rsin {
@@ -147,6 +149,34 @@ parseRunRecordJson(const JsonValue &v)
     r.result.shardsUsed =
         static_cast<std::size_t>(member(kern, "shards").asU64());
     return r;
+}
+
+RunRecord
+analyticRecord(std::string curve, std::string config, double rho,
+               double lambda, double mu_n, double mu_s,
+               const markov::SbusSolution &sol, double wall_seconds,
+               std::string display)
+{
+    RunRecord rec;
+    rec.curve = std::move(curve);
+    rec.config = std::move(config);
+    rec.kind = RecordKind::Analytic;
+    rec.rho = rho;
+    rec.lambda = lambda;
+    rec.muN = mu_n;
+    rec.muS = mu_s;
+    rec.replication = -1;
+    rec.display = std::move(display);
+    rec.wallSeconds = wall_seconds;
+    rec.result.status =
+        sol.stable ? RunStatus::Ok : RunStatus::Saturated;
+    rec.result.saturated = !sol.stable;
+    rec.result.meanDelay = sol.queueingDelay;
+    rec.result.normalizedDelay = sol.normalizedDelay;
+    rec.result.timeAvgQueue = sol.meanQueueLength;
+    rec.result.fractionNoWait = sol.probNoWait;
+    rec.result.shardsUsed = 0; // no calendar ran
+    return rec;
 }
 
 std::string

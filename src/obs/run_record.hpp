@@ -16,6 +16,10 @@
 #include "rsin/system.hpp"
 
 namespace rsin {
+namespace markov {
+struct SbusSolution;
+} // namespace markov
+
 namespace obs {
 
 /** What produced a record's numbers. */
@@ -59,6 +63,18 @@ struct RunRecord
  */
 std::string displayValue(const SimResult &result, double value,
                          const char *fmt = "%.4f");
+
+/**
+ * The one builder of RecordKind::Analytic records, shared by the
+ * figure benches, rsin_sweep --analytic and rsin_campaign: the solver
+ * point's delays, mean queue length and no-wait probability, the
+ * solve's wall time, seed 0, replication -1 and no calendar shards.
+ * Saturated (unstable) points carry RunStatus::Saturated.
+ */
+RunRecord analyticRecord(std::string curve, std::string config,
+                         double rho, double lambda, double mu_n,
+                         double mu_s, const markov::SbusSolution &sol,
+                         double wall_seconds, std::string display);
 
 class JsonWriter;
 struct JsonValue;

@@ -447,6 +447,36 @@ TEST(CampaignExportTest, FreshExportCarriesSweepAndAnalyticWallTimes)
     EXPECT_EQ(analytic, 2u);
 }
 
+TEST(CampaignExportTest, SweepAnalyticRecordsCarryTheirSolveTime)
+{
+    // rsin_sweep --analytic builds its records with the same
+    // obs::analyticRecord as the campaign: solve time, mean queue
+    // length and no-wait fraction ride along.
+    const std::string out = scratchDir("sweep_analytic") + ".json";
+    const std::string cmd =
+        std::string(RSIN_SWEEP_BIN) +
+        " '8/8x1x1 SBUS/2' --ratio 0.5 --steps 2 --tasks 300" +
+        " --analytic --out " + out + " > " + out + ".log 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    const auto text = common::readFile(out);
+    ASSERT_TRUE(text.has_value());
+    const obs::JsonValue doc = obs::parseJson(*text);
+    const obs::JsonValue *records = doc.find("records");
+    ASSERT_NE(records, nullptr);
+    std::size_t analytic = 0;
+    for (const obs::JsonValue &rec : records->items) {
+        if (rec.find("kind")->asString() != "analytic")
+            continue;
+        ++analytic;
+        EXPECT_GT(rec.find("wall_seconds")->asDouble(), 0.0);
+        const obs::JsonValue *res = rec.find("result");
+        ASSERT_NE(res, nullptr);
+        EXPECT_GT(res->find("time_avg_queue")->asDouble(), 0.0);
+        EXPECT_GT(res->find("fraction_no_wait")->asDouble(), 0.0);
+    }
+    EXPECT_EQ(analytic, 2u);
+}
+
 TEST(CampaignResumeTest, AnalyticCellsAreServedFromPersistedCache)
 {
     const std::string dir = scratchDir("campaign_cache");
