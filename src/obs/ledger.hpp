@@ -132,6 +132,7 @@ class LedgerWriter
     std::size_t shardIndex_;
     std::size_t sealEvery_;
     std::mutex mutex_;
+    // rsin-lint: allow(R11): append-only segment protocol -- open/append/flush are serialized behind mutex_ and the segment is sealed by atomic rename; writeFileAtomic (whole-file-then-rename) cannot express incremental crash-consistent append
     std::ofstream out_;
     std::string openPath_;   ///< active .open segment ("" when none)
     std::string sealedPath_; ///< .jsonl name the active segment seals to

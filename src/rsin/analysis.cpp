@@ -110,7 +110,6 @@ omegaLinkConflict(std::size_t size)
     // Memoized: the enumeration is O(n^4) path comparisons and every
     // sweep cell of the same network shape asks for the same value.
     static std::mutex mutex;
-    // rsin-lint: allow(R10): audited 2026-08: guarded by the function-local mutex above; the map is touched only under lock
     static std::map<std::size_t, double> memo;
     std::lock_guard<std::mutex> lock(mutex);
     const auto it = memo.find(size);

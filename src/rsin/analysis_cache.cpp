@@ -370,7 +370,6 @@ AnalysisCache::load(const std::string &path)
 AnalysisCache &
 AnalysisCache::global()
 {
-    // rsin-lint: allow(R10): audited 2026-08: AnalysisCache is internally synchronized -- every public method takes impl_->mutex, and concurrent same-key solves are collapsed by the single-flight in-flight map (see class comment)
     static AnalysisCache cache;
     return cache;
 }

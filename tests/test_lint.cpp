@@ -2,18 +2,17 @@
  * @file
  * Tests for the rsin-lint rule engine (tools/rsin_lint).
  *
- * Every rule R1-R13 is proven to fire on a known-bad fixture with the
- * right rule ID and line; a clean fixture and a correctly-suppressed
+ * Every rule is proven to fire on a known-bad fixture with the right
+ * rule ID and line; a clean fixture and a correctly-suppressed
  * violation both pass; a suppression without a reason string (or with
  * an unknown rule name) is itself an error and does not silence the
  * violation it covers.  The graph rules (R6 layering, R7 cycles) are
- * driven through the multi-file lintFiles() API; the cross-TU rules
- * (R10 worker-state, R11 worker-calls, R12 schema drift) through
- * lintFiles() with a LintOptions manifest plus the symbol-index /
- * call-graph dumps; the output layer is covered by a SARIF structure
- * test (including full finding-span regions) and a baseline
- * round-trip.  Fixtures live in tests/lint_fixtures/ and are linted
- * under virtual paths, because rule scoping is directory-based.
+ * driven through the multi-file lintFiles() API; schema drift (R12)
+ * through lintFiles() with a LintOptions manifest; the output layer is
+ * covered by a SARIF structure test (including full finding-span
+ * regions) and a baseline round-trip.  Fixtures live in
+ * tests/lint_fixtures/ and are linted under virtual paths, because
+ * rule scoping is directory-based.
  */
 
 #include <algorithm>
@@ -27,10 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "lint.hpp"
-#include "lint_cache.hpp"
-#include "lockflow.hpp"
 #include "output.hpp"
-#include "symbols.hpp"
 #include "xtu_rules.hpp"
 
 namespace {
@@ -558,60 +554,8 @@ TEST(LintBaseline, SlackReportsUnconsumedBudget)
 }
 
 // ---------------------------------------------------------------------
-// Cross-TU layer: worker-context rules R10/R11, schema drift R12, and
-// the symbol-index / call-graph debug dumps.
+// Non-reentrant calls and direct file writes (R11), schema drift (R12).
 // ---------------------------------------------------------------------
-
-TEST(LintR10, FlagsUnsynchronizedWorkerWritesAndStaticLocals)
-{
-    const auto findings =
-        lintFixture("src/exec/bad_r10.cpp", "bad_r10.cpp");
-    EXPECT_EQ(countRule(findings, "R10"), 3u)
-        << rsin::lint::formatFindings(findings);
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 21)); // static int calls
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 22)); // ++calls
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 30)); // g_hits += i
-}
-
-TEST(LintR10, MutexGuardedAndAtomicWritesAreExempt)
-{
-    const auto findings =
-        lintFixture("src/exec/clean_r10.cpp", "clean_r10.cpp");
-    EXPECT_EQ(countRule(findings, "R10"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
-
-TEST(LintR10, NeverFiresUnderTests)
-{
-    // Same bad fixture linted as a test file: tests are
-    // single-threaded by construction, so the rule stays quiet.
-    const auto findings =
-        lintFixture("tests/bad_r10.cpp", "bad_r10.cpp");
-    EXPECT_EQ(countRule(findings, "R10"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
-
-TEST(LintR10, SuppressionWithReasonMasksTheFinding)
-{
-    const auto findings = lintSource(
-        "src/exec/sup10.cpp",
-        "struct Pool {\n"
-        "    template <typename F> void parallelFor(int n, F fn);\n"
-        "};\n"
-        "int g_hits = 0;\n"
-        "void go(Pool &p)\n"
-        "{\n"
-        "    p.parallelFor(2, [](int i) {\n"
-        "        // rsin-lint: allow(R10): external barrier "
-        "serializes these iterations\n"
-        "        g_hits += i;\n"
-        "    });\n"
-        "}\n");
-    EXPECT_EQ(countRule(findings, "R10"), 0u)
-        << rsin::lint::formatFindings(findings);
-    EXPECT_EQ(countRule(findings, "R9"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
 
 TEST(LintR11, FlagsNonReentrantCallsAndDirectFileWrites)
 {
@@ -629,6 +573,36 @@ TEST(LintR11, WriteFileAtomicRoutingIsExempt)
         lintFixture("src/exec/clean_r11.cpp", "clean_r11.cpp");
     EXPECT_EQ(countRule(findings, "R11"), 0u)
         << rsin::lint::formatFindings(findings);
+}
+
+TEST(LintR11, FiresWhereNoWorkerReaches)
+{
+    // No pool and no spawn site anywhere: the rule is per-file, so a
+    // serial helper is held to it too.
+    const auto findings = lintSource(
+        "src/obs/stamp.cpp",
+        "#include <ctime>\n"
+        "#include <fstream>\n"
+        "void stamp(std::time_t t)\n"
+        "{\n"
+        "    std::tm *parts = std::localtime(&t);\n"
+        "    std::ofstream out(\"stamp.txt\");\n"
+        "    out << parts->tm_year;\n"
+        "}\n");
+    EXPECT_EQ(countRule(findings, "R11"), 2u)
+        << rsin::lint::formatFindings(findings);
+    EXPECT_TRUE(hasFindingAt(findings, "R11", 5)); // localtime
+    EXPECT_TRUE(hasFindingAt(findings, "R11", 6)); // ofstream
+}
+
+TEST(LintR11, TestsAndTheWriteFileAtomicHomeAreExempt)
+{
+    const std::string bad = readFixture("bad_r11.cpp");
+    for (const char *path : {"tests/bad_r11.cpp", "src/common/fsio.cpp"}) {
+        const auto findings = lintSource(path, bad);
+        EXPECT_EQ(countRule(findings, "R11"), 0u)
+            << path << "\n" << rsin::lint::formatFindings(findings);
+    }
 }
 
 TEST(LintR12, FlagsFieldDriftWithoutVersionBump)
@@ -738,440 +712,20 @@ TEST(LintR12, MalformedManifestThrows)
                  std::runtime_error);
 }
 
-TEST(LintXtu, CallGraphDumpExposesRootsAndEdges)
-{
-    const std::vector<SourceFile> files{
-        {"src/exec/bad_r10.cpp", readFixture("bad_r10.cpp")}};
-    const rsin::lint::Program prog = rsin::lint::indexProgram(files);
-    const rsin::lint::WorkerAnalysis wa =
-        rsin::lint::analyzeWorkers(prog);
-    EXPECT_FALSE(wa.roots.empty());
-    const std::string graph = rsin::lint::dumpCallGraph(prog, wa);
-    EXPECT_NE(graph.find("worker root:"), std::string::npos) << graph;
-    EXPECT_NE(graph.find(" -> "), std::string::npos) << graph;
-    const std::string symbols = rsin::lint::dumpSymbols(prog);
-    EXPECT_NE(symbols.find("runAll"), std::string::npos) << symbols;
-    EXPECT_NE(symbols.find("g_hits"), std::string::npos) << symbols;
-}
-
-TEST(LintXtu, ForwarderFixpointReachesThroughCallableParameters)
-{
-    // fn is spawned only transitively: run() forwards its callable
-    // parameter into parallelFor, so callables handed to run() at any
-    // call site are worker roots too -- the SweepRunner pattern.
-    const auto findings = lintSource(
-        "src/exec/forward.cpp",
-        "struct Pool {\n"
-        "    template <typename F> void parallelFor(int n, F fn);\n"
-        "};\n"
-        "int g_total = 0;\n"
-        "template <typename Fn>\n"
-        "void run(Pool &p, Fn fn)\n"
-        "{\n"
-        "    p.parallelFor(4, [&](int i) { fn(i); });\n"
-        "}\n"
-        "void driver(Pool &p)\n"
-        "{\n"
-        "    run(p, [](int i) { g_total += i; });\n"
-        "}\n");
-    EXPECT_EQ(countRule(findings, "R10"), 1u)
-        << rsin::lint::formatFindings(findings);
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 12));
-}
-
 // ---------------------------------------------------------------------
-// Lock-set dataflow: R10 precision (no lock-evidence heuristic) and
-// R13 lock-order deadlock detection.
+// Whole-tree driver.
 // ---------------------------------------------------------------------
-
-TEST(LintR10, CallerHeldLockCoversTheCalleeWrite)
-{
-    // The write is in bump(), the guard in its only worker-path
-    // caller: the entry fixpoint must carry the held set over the
-    // call edge instead of flagging the lockless body.
-    const auto findings = lintSource(
-        "src/exec/entry.cpp",
-        "struct Pool {\n"
-        "    template <typename F> void parallelFor(int n, F fn);\n"
-        "};\n"
-        "std::mutex g_mu;\n"
-        "int g_hits = 0;\n"
-        "void bump()\n"
-        "{\n"
-        "    g_hits += 1;\n"
-        "}\n"
-        "void go(Pool &p)\n"
-        "{\n"
-        "    p.parallelFor(2, [](int i) {\n"
-        "        std::lock_guard<std::mutex> lock(g_mu);\n"
-        "        bump();\n"
-        "    });\n"
-        "}\n");
-    EXPECT_EQ(countRule(findings, "R10"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
-
-TEST(LintR10, OneUnlockedWorkerPathStillFlagsTheWrite)
-{
-    // A second caller reaches bump() without the lock, so the entry
-    // sets intersect to empty and the write is unprotected on *some*
-    // worker path.
-    const auto findings = lintSource(
-        "src/exec/entry2.cpp",
-        "struct Pool {\n"
-        "    template <typename F> void parallelFor(int n, F fn);\n"
-        "};\n"
-        "std::mutex g_mu;\n"
-        "int g_hits = 0;\n"
-        "void bump()\n"
-        "{\n"
-        "    g_hits += 1;\n"
-        "}\n"
-        "void locked(Pool &p)\n"
-        "{\n"
-        "    p.parallelFor(2, [](int i) {\n"
-        "        std::lock_guard<std::mutex> lock(g_mu);\n"
-        "        bump();\n"
-        "    });\n"
-        "}\n"
-        "void unlocked(Pool &p)\n"
-        "{\n"
-        "    p.parallelFor(2, [](int i) { bump(); });\n"
-        "}\n");
-    EXPECT_EQ(countRule(findings, "R10"), 1u)
-        << rsin::lint::formatFindings(findings);
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 8));
-}
-
-TEST(LintR10, GuardReleasedAtScopeExitNoLongerCovers)
-{
-    // The PR 8 heuristic accepted any guard in the body; the scoped
-    // dataflow knows the lock is gone when the write runs.
-    const auto findings = lintSource(
-        "src/exec/scope.cpp",
-        "struct Pool {\n"
-        "    template <typename F> void parallelFor(int n, F fn);\n"
-        "};\n"
-        "std::mutex g_mu;\n"
-        "int g_hits = 0;\n"
-        "void go(Pool &p)\n"
-        "{\n"
-        "    p.parallelFor(2, [](int i) {\n"
-        "        {\n"
-        "            std::lock_guard<std::mutex> lock(g_mu);\n"
-        "        }\n"
-        "        g_hits += i;\n"
-        "    });\n"
-        "}\n");
-    EXPECT_EQ(countRule(findings, "R10"), 1u)
-        << rsin::lint::formatFindings(findings);
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 12));
-}
-
-TEST(LintR10, ManualLockUnlockPairIsTracked)
-{
-    const auto findings = lintSource(
-        "src/exec/manual.cpp",
-        "struct Pool {\n"
-        "    template <typename F> void parallelFor(int n, F fn);\n"
-        "};\n"
-        "std::mutex g_mu;\n"
-        "int g_hits = 0;\n"
-        "void go(Pool &p)\n"
-        "{\n"
-        "    p.parallelFor(2, [](int i) {\n"
-        "        g_mu.lock();\n"
-        "        g_hits += i;\n"
-        "        g_mu.unlock();\n"
-        "        g_hits += i;\n"
-        "    });\n"
-        "}\n");
-    EXPECT_EQ(countRule(findings, "R10"), 1u)
-        << rsin::lint::formatFindings(findings);
-    EXPECT_TRUE(hasFindingAt(findings, "R10", 12)); // after unlock
-}
-
-TEST(LintR13, CrossTuInconsistentOrderIsACycle)
-{
-    const std::vector<SourceFile> files{
-        {"src/exec/bad_r13_a.cpp", readFixture("bad_r13_a.cpp")},
-        {"src/exec/bad_r13_b.cpp", readFixture("bad_r13_b.cpp")}};
-    const auto findings = lintFiles(files, rsin::lint::LintOptions{});
-    EXPECT_EQ(countRule(findings, "R13"), 2u)
-        << rsin::lint::formatFindings(findings);
-    // The cycle anchors at its lexicographically first edge; the
-    // self-deadlock at the re-acquisition.
-    EXPECT_TRUE(hasFindingAt(findings, "R13", 18));
-    EXPECT_TRUE(hasFindingAt(findings, "R13", 25));
-    const std::string sarif = rsin::lint::formatSarif(findings);
-    EXPECT_NE(sarif.find("\"R13\""), std::string::npos) << sarif;
-}
-
-TEST(LintR13, ConsistentOrderScopedReleaseAndRecursiveAreClean)
-{
-    const auto findings =
-        lintFixture("src/exec/clean_r13.cpp", "clean_r13.cpp");
-    EXPECT_EQ(countRule(findings, "R13"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
-
-TEST(LintR13, NeverFiresUnderTests)
-{
-    const std::vector<SourceFile> files{
-        {"tests/bad_r13_a.cpp", readFixture("bad_r13_a.cpp")},
-        {"tests/bad_r13_b.cpp", readFixture("bad_r13_b.cpp")}};
-    const auto findings = lintFiles(files, rsin::lint::LintOptions{});
-    EXPECT_EQ(countRule(findings, "R13"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
-
-TEST(LintXtu, MemberCallOnExplicitReceiverIsNotASelfCall)
-{
-    // `out_.close()` targets the stream, not Writer::close -- the
-    // shared method name must not fabricate a call edge that makes
-    // close() look re-entered under its own lock (false R13).
-    const auto findings = lintSource(
-        "src/obs/recv.cpp",
-        "struct Stream { void close(); };\n"
-        "struct Pool {\n"
-        "    template <typename F> void submit(F fn);\n"
-        "};\n"
-        "struct Writer {\n"
-        "    std::mutex mutex_;\n"
-        "    Stream out_;\n"
-        "    void sealLocked() { out_.close(); }\n"
-        "    void append()\n"
-        "    {\n"
-        "        std::lock_guard<std::mutex> lock(mutex_);\n"
-        "        sealLocked();\n"
-        "    }\n"
-        "    void close()\n"
-        "    {\n"
-        "        std::lock_guard<std::mutex> lock(mutex_);\n"
-        "        sealLocked();\n"
-        "    }\n"
-        "    void run(Pool &p)\n"
-        "    {\n"
-        "        p.submit([this] { append(); });\n"
-        "    }\n"
-        "};\n");
-    EXPECT_EQ(countRule(findings, "R13"), 0u)
-        << rsin::lint::formatFindings(findings);
-}
-
-// ---------------------------------------------------------------------
-// Incremental analysis cache and the parallel per-file engine.
-// ---------------------------------------------------------------------
-
-TEST(LintCache, RoundTripsEveryArtifactField)
-{
-    rsin::lint::Finding f;
-    f.file = "src/x.cpp";
-    f.line = 3;
-    f.rule = "R1";
-    f.message = "quoted \"text\"\nand newline";
-    f.column = 2;
-    f.endLine = 3;
-    f.endColumn = 9;
-    rsin::lint::LintCache cache;
-    cache.hasTree = true;
-    cache.treeHash = "feedface";
-    cache.treeFindings = {f};
-    rsin::lint::LintCacheEntry entry;
-    entry.hash = "abc123";
-    entry.artifacts.findings = {f};
-    rsin::lint::Directive d;
-    d.line = 4;
-    d.rules = {"R1", "R2"};
-    entry.artifacts.directives = {d};
-    rsin::lint::IncludeRef inc;
-    inc.file = "src/x.cpp";
-    inc.line = 1;
-    inc.quoted = "a.hpp";
-    inc.resolved = "src/a.hpp";
-    entry.artifacts.includes = {inc};
-    cache.files["src/x.cpp"] = entry;
-
-    const std::string path =
-        ::testing::TempDir() + "lint_cache_roundtrip.cache";
-    ASSERT_TRUE(rsin::lint::saveLintCache(path, cache));
-    const rsin::lint::LintCache back = rsin::lint::loadLintCache(path);
-    EXPECT_TRUE(back.hasTree);
-    EXPECT_EQ(back.treeHash, "feedface");
-    ASSERT_EQ(back.treeFindings.size(), 1u);
-    EXPECT_EQ(back.treeFindings[0].message, f.message);
-    ASSERT_EQ(back.files.count("src/x.cpp"), 1u);
-    const rsin::lint::LintCacheEntry &got =
-        back.files.at("src/x.cpp");
-    EXPECT_EQ(got.hash, "abc123");
-    ASSERT_EQ(got.artifacts.findings.size(), 1u);
-    EXPECT_EQ(got.artifacts.findings[0].endColumn, 9u);
-    ASSERT_EQ(got.artifacts.directives.size(), 1u);
-    EXPECT_EQ(got.artifacts.directives[0].rules.count("R2"), 1u);
-    EXPECT_FALSE(got.artifacts.directives[0].used);
-    ASSERT_EQ(got.artifacts.includes.size(), 1u);
-    EXPECT_EQ(got.artifacts.includes[0].resolved, "src/a.hpp");
-    EXPECT_EQ(got.artifacts.includes[0].file, "src/x.cpp");
-    std::filesystem::remove(path);
-}
-
-TEST(LintCache, CorruptCacheLoadsAsEmptyNotACrash)
-{
-    const std::string path =
-        ::testing::TempDir() + "lint_cache_corrupt.cache";
-    const auto writeCache = [&](const std::string &text) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << text;
-    };
-    // Missing file.
-    std::filesystem::remove(path);
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    // Wrong header (stale engine version).
-    writeCache("rsin.lint_cache.v1 engine=0.0.1\n");
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    // Flipped bit: crc mismatch.
-    writeCache(std::string(rsin::lint::kLintCacheSchema) +
-               " engine=" + rsin::lint::kLintEngineVersion + "\n" +
-               "{\"kind\":\"tree\",\"hash\":\"x\",\"findings\":[]} "
-               "00000000\n");
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    // Not JSON at all.
-    writeCache(std::string(rsin::lint::kLintCacheSchema) +
-               " engine=" + rsin::lint::kLintEngineVersion + "\n" +
-               "complete garbage\n");
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    std::filesystem::remove(path);
-}
-
-namespace cachetree {
-
-const char kCleanUnit[] =
-    "namespace rsin {\nnamespace common {\nint\nanswer()\n{\n"
-    "    return 42;\n}\n} // namespace common\n} // namespace rsin\n";
-
-std::string
-makeTree()
-{
-    const std::string root = ::testing::TempDir() + "lint_tree_cache";
-    std::filesystem::remove_all(root);
-    std::filesystem::create_directories(root + "/src/common");
-    std::ofstream(root + "/src/common/unit.cpp") << kCleanUnit;
-    return root;
-}
-
-} // namespace cachetree
-
-TEST(LintCache, WarmTreeRunIsServedFromTheCache)
-{
-    const std::string root = cachetree::makeTree();
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-
-    const auto cold = rsin::lint::lintTree(root, opts);
-    EXPECT_TRUE(cold.findings.empty())
-        << rsin::lint::formatFindings(cold.findings);
-    EXPECT_EQ(cold.stats.analyzed, 1u);
-    EXPECT_FALSE(cold.stats.treeHit);
-
-    const auto warm = rsin::lint::lintTree(root, opts);
-    EXPECT_TRUE(warm.findings.empty());
-    EXPECT_TRUE(warm.stats.treeHit);
-    EXPECT_EQ(warm.stats.analyzed, 0u);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintCache, EditedFileIsReanalyzedOthersServedWarm)
-{
-    const std::string root = cachetree::makeTree();
-    std::ofstream(root + "/src/common/other.cpp")
-        << "namespace rsin {\nnamespace common {\nint\nzero()\n{\n"
-           "    return 0;\n}\n} // namespace common\n"
-           "} // namespace rsin\n";
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-    const auto cold = rsin::lint::lintTree(root, opts);
-    EXPECT_EQ(cold.stats.analyzed, 2u);
-
-    // Touch one file: only it is re-analyzed, the other hits.
-    std::ofstream(root + "/src/common/unit.cpp")
-        << cachetree::kCleanUnit << "// trailing comment\n";
-    const auto edited = rsin::lint::lintTree(root, opts);
-    EXPECT_FALSE(edited.stats.treeHit);
-    EXPECT_EQ(edited.stats.analyzed, 1u);
-    EXPECT_EQ(edited.stats.cacheHits, 1u);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintCache, DeletedFileAgesOutOfThePersistedCache)
-{
-    const std::string root = cachetree::makeTree();
-    std::ofstream(root + "/src/common/gone.cpp")
-        << "namespace rsin {\nnamespace common {\nint\none()\n{\n"
-           "    return 1;\n}\n} // namespace common\n"
-           "} // namespace rsin\n";
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-    (void)rsin::lint::lintTree(root, opts);
-    std::filesystem::remove(root + "/src/common/gone.cpp");
-    (void)rsin::lint::lintTree(root, opts);
-    const rsin::lint::LintCache cache =
-        rsin::lint::loadLintCache(opts.cachePath);
-    EXPECT_EQ(cache.files.count("src/common/gone.cpp"), 0u);
-    EXPECT_EQ(cache.files.count("src/common/unit.cpp"), 1u);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintCache, CorruptCacheFileFallsBackToAColdRun)
-{
-    const std::string root = cachetree::makeTree();
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-    (void)rsin::lint::lintTree(root, opts);
-    {
-        std::ofstream out(opts.cachePath,
-                          std::ios::binary | std::ios::trunc);
-        out << "not a cache\n";
-    }
-    const auto run = rsin::lint::lintTree(root, opts);
-    EXPECT_FALSE(run.stats.treeHit);
-    EXPECT_EQ(run.stats.analyzed, 1u);
-    EXPECT_TRUE(run.findings.empty())
-        << rsin::lint::formatFindings(run.findings);
-    // And the rewritten cache serves the next run warm again.
-    const auto warm = rsin::lint::lintTree(root, opts);
-    EXPECT_TRUE(warm.stats.treeHit);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintEngine, FindingOrderIsIdenticalForAnyThreadCount)
-{
-    const std::vector<SourceFile> files{
-        {"src/des/bad_r1.cpp", readFixture("bad_r1.cpp")},
-        {"src/exec/bad_r10.cpp", readFixture("bad_r10.cpp")},
-        {"src/exec/bad_r13_a.cpp", readFixture("bad_r13_a.cpp")},
-        {"src/exec/bad_r13_b.cpp", readFixture("bad_r13_b.cpp")},
-        {"src/markov/bad_r3.cpp", readFixture("bad_r3.cpp")}};
-    rsin::lint::LintOptions serial;
-    serial.jobs = 1;
-    rsin::lint::LintOptions parallel;
-    parallel.jobs = 4;
-    const auto a = lintFiles(files, serial);
-    const auto b = lintFiles(files, parallel);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].file, b[i].file);
-        EXPECT_EQ(a[i].line, b[i].line);
-        EXPECT_EQ(a[i].rule, b[i].rule);
-        EXPECT_EQ(a[i].message, b[i].message);
-    }
-    EXPECT_FALSE(a.empty());
-}
 
 TEST(LintEngine, TreeRunReportsPhaseTimings)
 {
-    const std::string root = cachetree::makeTree();
-    const auto report =
-        rsin::lint::lintTree(root, rsin::lint::TreeOptions{});
+    const std::string root = ::testing::TempDir() + "lint_tree";
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(root + "/src/common");
+    std::ofstream(root + "/src/common/unit.cpp")
+        << "namespace rsin {\nnamespace common {\nint\nanswer()\n{\n"
+           "    return 42;\n}\n} // namespace common\n"
+           "} // namespace rsin\n";
+    const auto report = rsin::lint::lintTree(root);
     EXPECT_GT(report.timings.totalMs, 0.0);
     bool sawPerFile = false;
     for (const auto &phase : report.timings.phases)

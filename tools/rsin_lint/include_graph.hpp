@@ -46,8 +46,7 @@
 namespace rsin {
 namespace lint {
 
-/** Scan @p content for `#include "..."` directives (IncludeRef is
- *  defined in lint.hpp so cached FileArtifacts can carry them). */
+/** Scan @p content for `#include "..."` directives. */
 std::vector<IncludeRef> extractIncludes(const std::string &file,
                                         const std::string &content);
 

@@ -1,7 +1,6 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
@@ -10,11 +9,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "include_graph.hpp"
-#include "lint_cache.hpp"
-#include "lockflow.hpp"
+#include "symbols.hpp"
 #include "xtu_rules.hpp"
 
 namespace rsin {
@@ -28,12 +25,19 @@ isIdent(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+/** One well-formed `rsin-lint: allow(...)` suppression comment. */
+struct Directive
+{
+    std::size_t line = 0;        ///< line the comment sits on
+    std::set<std::string> rules; ///< rules it waives
+    bool used = false;           ///< masked a finding this run
+};
+
 /**
  * Result of the lexical pre-pass: the source with comments and
  * string/char literals blanked to spaces (newlines preserved, so line
  * numbers and column positions survive), plus the parsed suppression
- * comments and any malformed-suppression findings.  (Directive itself
- * lives in lint.hpp so cached FileArtifacts can carry them.)
+ * comments and any malformed-suppression findings.
  */
 struct Stripped
 {
@@ -46,8 +50,8 @@ const std::set<std::string> &
 knownRules()
 {
     static const std::set<std::string> rules{
-        "R1", "R2",  "R3",  "R4",  "R5",  "R6", "R7",
-        "R8", "R9", "R10", "R11", "R12", "R13"};
+        "R1", "R2", "R3", "R4",  "R5", "R6",
+        "R7", "R8", "R9", "R11", "R12"};
     return rules;
 }
 
@@ -225,6 +229,7 @@ struct Scope
     bool modelCode = false;      ///< src/: R3, R4
     bool outputLayer = false;    ///< src/common/table.*, src/obs: R4 off
     bool consumer = false;       ///< bench/, examples/: R5
+    bool ioHome = false;         ///< tests/, src/common/fsio.*: R11 off
 };
 
 bool
@@ -250,6 +255,8 @@ classify(const std::string &path)
     s.outputLayer = pathHas(path, "src/common/table.") ||
                     pathHas(path, "src/obs/");
     s.consumer = pathHas(path, "bench/") || pathHas(path, "examples/");
+    s.ioHome = path.rfind("tests/", 0) == 0 ||
+               pathHas(path, "src/common/fsio.");
     return s;
 }
 
@@ -504,6 +511,69 @@ ruleR4(const std::vector<Line> &lines, const Scope &scope,
                                "route output through src/common/table "
                                "or src/obs"});
         }
+    }
+}
+
+/**
+ * R11: non-reentrant calls and direct file writes.  Sweep cells run
+ * on pool workers, so shared-static libc calls race and a plain
+ * ofstream can leave a torn artifact; persistence goes through
+ * common::writeFileAtomic (src/common/fsio, its one home).
+ */
+void
+ruleR11(const std::vector<Line> &lines, const Scope &scope,
+        const std::string &path, std::vector<Finding> &out)
+{
+    if (scope.ioHome)
+        return;
+    static const char *kNonReentrant[] = {
+        "strtok", "setenv",  "putenv", "localtime", "gmtime",
+        "ctime",  "asctime", "tmpnam", "system"};
+    const auto callAt = [](const std::string &text, std::size_t at,
+                           const char *token) {
+        const std::size_t next =
+            skipSpaces(text, at + std::string(token).size());
+        return next < text.size() && text[next] == '(';
+    };
+    for (const Line &line : lines) {
+        const std::string &text = line.text;
+        const std::size_t first = skipSpaces(text, 0);
+        if (first < text.size() && text[first] == '#')
+            continue; // #include <fstream> declares, it does not write
+        for (const char *token : kNonReentrant)
+            for (std::size_t at : tokenHits(text, token))
+                if (callAt(text, at, token))
+                    out.push_back(
+                        {path, line.number, "R11",
+                         "call to non-reentrant '" + std::string(token) +
+                             "': pool workers share its static state; "
+                             "use a reentrant alternative"});
+        std::vector<const char *> writes;
+        for (const char *token : {"ofstream", "fstream"})
+            for ([[maybe_unused]] std::size_t at : tokenHits(text, token))
+                writes.push_back(token);
+        for (const char *token : {"fopen", "freopen"})
+            for (std::size_t at : tokenHits(text, token))
+                if (callAt(text, at, token))
+                    writes.push_back(token);
+        for (std::size_t at : tokenHits(text, "open")) {
+            std::size_t before = at;
+            while (before > 0 && (text[before - 1] == ' ' ||
+                                  text[before - 1] == '\t'))
+                --before;
+            const bool member =
+                (before >= 1 && text[before - 1] == '.') ||
+                (before >= 2 && text.compare(before - 2, 2, "->") == 0);
+            if (member && callAt(text, at, "open"))
+                writes.push_back("open");
+        }
+        for (const char *token : writes)
+            out.push_back({path, line.number, "R11",
+                           "direct file write ('" + std::string(token) +
+                               "'): route persistence through "
+                               "common::writeFileAtomic, or suppress "
+                               "with the reason the file needs "
+                               "another protocol"});
     }
 }
 
@@ -901,19 +971,15 @@ flowPass(const std::vector<Tok> &toks, const Scope &scope,
  * rest.  A directive covers its own line and the next one.
  */
 void
-applySuppressions(const std::vector<SourceFile> &files,
-                  std::vector<FileArtifacts> &artifacts,
+applySuppressions(std::map<std::string, std::vector<Directive>> &byPath,
                   std::vector<Finding> &findings)
 {
-    std::map<std::string, FileArtifacts *> byPath;
-    for (std::size_t i = 0; i < files.size(); ++i)
-        byPath[files[i].path] = &artifacts[i];
     std::vector<Finding> kept;
     for (Finding &f : findings) {
         const auto it = byPath.find(f.file);
         bool masked = false;
         if (it != byPath.end()) {
-            for (Directive &d : it->second->directives) {
+            for (Directive &d : it->second) {
                 if ((f.line == d.line || f.line == d.line + 1) &&
                     d.rules.count(f.rule)) {
                     d.used = true;
@@ -938,24 +1004,6 @@ msBetween(std::chrono::steady_clock::time_point a,
 
 } // namespace
 
-FileArtifacts
-analyzeFileArtifacts(const SourceFile &file)
-{
-    FileArtifacts fa;
-    Stripped stripped = strip(file.path, file.content);
-    const std::vector<Line> lines = splitLines(stripped.code);
-    const Scope scope = classify(file.path);
-    ruleR1(lines, scope, file.path, fa.findings);
-    ruleR2(lines, scope, file.path, fa.findings);
-    ruleR3(lines, scope, file.path, fa.findings);
-    ruleR4(lines, scope, file.path, fa.findings);
-    flowPass(tokenize(stripped.code), scope, file.path, fa.findings);
-    fa.directives = std::move(stripped.directives);
-    fa.supErrors = std::move(stripped.errors);
-    fa.includes = extractIncludes(file.path, file.content);
-    return fa;
-}
-
 std::vector<Finding>
 lintFiles(const std::vector<SourceFile> &files,
           const LintOptions &options)
@@ -967,85 +1015,35 @@ lintFiles(const std::vector<SourceFile> &files,
                 phase, msBetween(since, Clock::now()));
     };
 
-    // --- Per-file stage, fanned out over worker threads.  Results
-    // land in per-index slots and merge in file order, so findings
-    // are identical for every thread count.  Cache hits skip the rule
-    // stage; tokenization always runs (the cross-TU stages below are
-    // whole-program and need every file's tokens).
+    // --- Per-file rules, suppression directives and includes.
     Clock::time_point t0 = Clock::now();
-    std::vector<FileArtifacts> artifacts(files.size());
-    std::vector<std::vector<FullTok>> toks(files.size());
-    std::atomic<std::size_t> analyzedCount{0};
-    std::atomic<std::size_t> hitCount{0};
-    const auto workOne = [&](std::size_t i) {
-        bool hit = false;
-        if (options.prebuilt != nullptr) {
-            const auto pre = options.prebuilt->find(files[i].path);
-            if (pre != options.prebuilt->end()) {
-                artifacts[i] = pre->second;
-                hit = true;
-            }
-        }
-        if (hit)
-            hitCount.fetch_add(1, std::memory_order_relaxed);
-        else {
-            artifacts[i] = analyzeFileArtifacts(files[i]);
-            analyzedCount.fetch_add(1, std::memory_order_relaxed);
-        }
-        toks[i] = tokenizeFull(files[i].content);
-    };
-    std::size_t jobs = options.jobs;
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    jobs = std::min(jobs, files.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i)
-            workOne(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w)
-            pool.emplace_back([&] {
-                while (true) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= files.size())
-                        return;
-                    workOne(i);
-                }
-            });
-        for (std::thread &worker : pool)
-            worker.join();
-    }
-    if (options.stats != nullptr) {
-        options.stats->files = files.size();
-        options.stats->analyzed = analyzedCount.load();
-        options.stats->cacheHits = hitCount.load();
-    }
-    if (options.artifactsOut != nullptr)
-        for (std::size_t i = 0; i < files.size(); ++i)
-            (*options.artifactsOut)[files[i].path] = artifacts[i];
-    mark("perfile", t0);
-
-    // --- Include-graph rules over the merged per-file artifacts.
-    t0 = Clock::now();
+    std::vector<Finding> findings;
+    std::vector<Finding> supErrors;
+    std::map<std::string, std::vector<Directive>> directives;
     std::vector<IncludeRef> includes;
     std::set<std::string> fileSet;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        includes.insert(includes.end(),
-                        artifacts[i].includes.begin(),
-                        artifacts[i].includes.end());
-        fileSet.insert(files[i].path);
+    for (const SourceFile &file : files) {
+        Stripped stripped = strip(file.path, file.content);
+        const std::vector<Line> lines = splitLines(stripped.code);
+        const Scope scope = classify(file.path);
+        ruleR1(lines, scope, file.path, findings);
+        ruleR2(lines, scope, file.path, findings);
+        ruleR3(lines, scope, file.path, findings);
+        ruleR4(lines, scope, file.path, findings);
+        ruleR11(lines, scope, file.path, findings);
+        flowPass(tokenize(stripped.code), scope, file.path, findings);
+        directives[file.path] = std::move(stripped.directives);
+        supErrors.insert(supErrors.end(), stripped.errors.begin(),
+                         stripped.errors.end());
+        const std::vector<IncludeRef> refs =
+            extractIncludes(file.path, file.content);
+        includes.insert(includes.end(), refs.begin(), refs.end());
+        fileSet.insert(file.path);
     }
-    std::vector<Finding> findings;
-    for (std::size_t i = 0; i < files.size(); ++i)
-        findings.insert(findings.end(),
-                        artifacts[i].findings.begin(),
-                        artifacts[i].findings.end());
+    mark("perfile", t0);
+
+    // --- Include-graph rules over the whole set.
+    t0 = Clock::now();
     for (std::vector<Finding> graph :
          {checkLayering(includes, fileSet),
           checkCycles(includes, fileSet)})
@@ -1054,59 +1052,51 @@ lintFiles(const std::vector<SourceFile> &files,
                         std::make_move_iterator(graph.end()));
     mark("graph", t0);
 
-    // --- Cross-TU pass: one program over the whole file set.  The
-    // findings join the stream *before* suppression so allow(R10..)
-    // directives and the stale check apply to them like any rule.
+    // --- R12 over the whole-program function index.  Its findings
+    // join the stream *before* suppression so allow(R12) directives
+    // and the stale check apply to them like any rule.
     t0 = Clock::now();
-    std::map<std::string, std::vector<FullTok>> tokenMap;
-    for (std::size_t i = 0; i < files.size(); ++i)
-        tokenMap[files[i].path] = std::move(toks[i]);
-    const Program prog = indexProgram(files, std::move(tokenMap));
-    const WorkerAnalysis wa = analyzeWorkers(prog);
-    const LockFlow lf = analyzeLockFlow(prog, wa);
+    if (options.schemas != nullptr) {
+        const Program prog = indexProgram(files);
+        std::vector<Finding> schema =
+            checkSchemas(prog, *options.schemas, options.textDocs);
+        findings.insert(findings.end(),
+                        std::make_move_iterator(schema.begin()),
+                        std::make_move_iterator(schema.end()));
+    }
     mark("index", t0);
 
     t0 = Clock::now();
-    for (std::vector<Finding> xtu :
-         {checkWorkerState(prog, wa, lf), checkWorkerCalls(prog, wa),
-          checkLockOrder(prog, lf),
-          options.schemas
-              ? checkSchemas(prog, *options.schemas,
-                             options.textDocs)
-              : std::vector<Finding>{}})
-        findings.insert(findings.end(),
-                        std::make_move_iterator(xtu.begin()),
-                        std::make_move_iterator(xtu.end()));
-
-    applySuppressions(files, artifacts, findings);
+    applySuppressions(directives, findings);
 
     // R9: directives that masked nothing are dead weight -- and often
     // the footprint of a fixed bug whose waiver should ratchet out.
     std::vector<Finding> stale;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        for (const Directive &d : artifacts[i].directives) {
+    for (const auto &entry : directives) {
+        for (const Directive &d : entry.second) {
             if (d.used)
                 continue;
             std::string rules;
-            for (const std::string &r : d.rules)
-                rules += (rules.empty() ? "" : ",") + r;
+            for (const std::string &r : d.rules) {
+                if (!rules.empty())
+                    rules += ',';
+                rules += r;
+            }
             stale.push_back(
-                {files[i].path, d.line, "R9",
+                {entry.first, d.line, "R9",
                  "stale suppression: allow(" + rules +
                      ") masks no finding on this or the next line; "
                      "delete it (or re-justify it against a real "
                      "violation)"});
         }
     }
-    applySuppressions(files, artifacts, stale);
+    applySuppressions(directives, stale);
     findings.insert(findings.end(),
                     std::make_move_iterator(stale.begin()),
                     std::make_move_iterator(stale.end()));
 
     // Malformed directives always survive.
-    for (const FileArtifacts &fa : artifacts)
-        findings.insert(findings.end(), fa.supErrors.begin(),
-                        fa.supErrors.end());
+    findings.insert(findings.end(), supErrors.begin(), supErrors.end());
 
     std::sort(findings.begin(), findings.end(),
               [](const Finding &a, const Finding &b) {
@@ -1172,41 +1162,13 @@ treePaths(const std::string &root)
 
 } // namespace
 
-std::vector<SourceFile>
-collectTree(const std::string &root)
-{
-    namespace fs = std::filesystem;
-    std::vector<SourceFile> files;
-    for (const std::string &path : treePaths(root)) {
-        std::ifstream in(fs::path(root) / path, std::ios::binary);
-        if (!in)
-            continue;
-        std::ostringstream text;
-        text << in.rdbuf();
-        files.push_back({path, text.str()});
-    }
-    return files;
-}
-
 TreeReport
 lintTree(const std::string &root)
-{
-    return lintTree(root, TreeOptions{});
-}
-
-TreeReport
-lintTree(const std::string &root, const TreeOptions &opts)
 {
     namespace fs = std::filesystem;
     using Clock = std::chrono::steady_clock;
     TreeReport report;
-    const auto mark = [&](const char *phase, Clock::time_point since) {
-        report.timings.phases.emplace_back(
-            phase, msBetween(since, Clock::now()));
-    };
-
-    Clock::time_point t0 = Clock::now();
-    const Clock::time_point start = t0;
+    const Clock::time_point start = Clock::now();
     std::vector<SourceFile> files;
     for (const std::string &path : treePaths(root)) {
         std::ifstream in(fs::path(root) / path, std::ios::binary);
@@ -1221,90 +1183,23 @@ lintTree(const std::string &root, const TreeOptions &opts)
 
     LintOptions options;
     SchemaManifest manifest;
-    std::string manifestText;
     const fs::path schemasPath =
         fs::path(root) / "tools" / "rsin_lint" / "schemas.json";
     if (fs::is_regular_file(schemasPath)) {
         std::ifstream in(schemasPath, std::ios::binary);
         std::ostringstream text;
         text << in.rdbuf();
-        manifestText = text.str();
-        manifest = parseSchemaManifest(manifestText);
+        manifest = parseSchemaManifest(text.str());
         options.schemas = &manifest;
     }
     const std::map<std::string, std::string> textDocs =
         loadTextDocs(root, manifest);
     options.textDocs = &textDocs;
-    options.jobs = opts.jobs;
-    options.stats = &report.stats;
     options.timings = &report.timings;
-    mark("collect", t0);
-
-    // --- The incremental layer: tree-level short-circuit, then
-    // per-file artifact reuse.  A corrupt or missing cache is just a
-    // cold run.
-    t0 = Clock::now();
-    std::map<std::string, FileArtifacts> prebuilt;
-    std::map<std::string, FileArtifacts> produced;
-    std::map<std::string, std::string> hashes;
-    std::string treeHash;
-    const bool caching = !opts.cachePath.empty();
-    if (caching) {
-        const LintCache cache = loadLintCache(opts.cachePath);
-        report.stats.cacheLoaded =
-            cache.hasTree || !cache.files.empty();
-        std::string treeKey;
-        for (const SourceFile &f : files) {
-            hashes[f.path] = contentHash64(f.content);
-            treeKey += f.path;
-            treeKey.push_back('\0'); // paths must not concatenate
-            treeKey += hashes[f.path] + "\n";
-        }
-        treeKey += "manifest:" + contentHash64(manifestText) + "\n";
-        for (const auto &doc : textDocs)
-            treeKey += "doc:" + doc.first + ":" +
-                       contentHash64(doc.second) + "\n";
-        treeHash = contentHash64(treeKey);
-        if (report.unreadable.empty() && cache.hasTree &&
-            cache.treeHash == treeHash) {
-            report.findings = cache.treeFindings;
-            report.stats.files = files.size();
-            report.stats.cacheHits = files.size();
-            report.stats.treeHit = true;
-            mark("cache", t0);
-            report.timings.totalMs = msBetween(start, Clock::now());
-            return report;
-        }
-        for (const auto &entry : cache.files) {
-            const auto h = hashes.find(entry.first);
-            if (h != hashes.end() && h->second == entry.second.hash)
-                prebuilt[entry.first] = entry.second.artifacts;
-        }
-        options.prebuilt = &prebuilt;
-        options.artifactsOut = &produced;
-    }
-    mark("cache", t0);
+    report.timings.phases.emplace_back("collect",
+                                       msBetween(start, Clock::now()));
 
     report.findings = lintFiles(files, options);
-
-    if (caching) {
-        t0 = Clock::now();
-        LintCache next;
-        next.hasTree = report.unreadable.empty();
-        next.treeHash = treeHash;
-        next.treeFindings = report.findings;
-        for (const SourceFile &f : files) {
-            LintCacheEntry entry;
-            entry.hash = hashes[f.path];
-            entry.artifacts = produced[f.path];
-            // The used flag is transient run state, never persisted.
-            for (Directive &d : entry.artifacts.directives)
-                d.used = false;
-            next.files[f.path] = std::move(entry);
-        }
-        saveLintCache(opts.cachePath, next);
-        mark("save", t0);
-    }
     report.timings.totalMs = msBetween(start, Clock::now());
     return report;
 }

@@ -40,30 +40,25 @@
  *   R8  common::Rng received or captured by value outside src/common
  *       (stream-forking hazard)
  *   R9  stale suppression: an allow(...) masking no finding
- *   R10 write to mutable namespace-scope/static-local state on a
- *       worker-thread-reachable path without lock evidence
- *       (cross-TU call graph; see symbols.hpp)
- *   R11 non-reentrant call or unrouted filesystem write on a
- *       worker-thread-reachable path
+ *   R11 non-reentrant call (strtok, localtime, ...) or direct file
+ *       write not routed through common::writeFileAtomic, anywhere
+ *       outside tests/ and src/common/fsio
  *   R12 serialized writer/parser field set drifted from the committed
  *       tools/rsin_lint/schemas.json manifest without a version bump
- *   R13 lock-order cycle or self-deadlock in the interprocedural
- *       lock-order graph (lock-set dataflow; see lockflow.hpp)
  *   SUP malformed suppression comment (missing reason, unknown rule)
  *
- * The engine itself is parallel and incremental: the per-file stage
- * (strip, per-file rules, include extraction, tokenization) runs on N
- * threads into per-index slots that merge in file order, so findings
- * are deterministic for any thread count; with `--cache FILE` the
- * per-file artifacts persist content-hash-keyed between runs
- * (`rsin.lint_cache.v1`, same atomic-write + crc discipline as the
- * simulator's analysis cache) so warm runs re-analyze only edited
- * files.
+ * Data races and lock-order deadlocks are not modelled statically:
+ * the ThreadSanitizer job (scripts/check.sh tsan) runs the pool,
+ * sweep, analysis-cache, RunLog and ledger-writer code under real
+ * contention instead.
+ *
+ * One run is one serial pass over the file set: strip and per-file
+ * rules, then the include graph, then the R12 index, then
+ * suppressions.  A cold whole-tree run takes well under a second.
  */
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -101,30 +96,6 @@ struct IncludeRef
     std::string resolved; ///< repo-relative target; empty if unresolved
 };
 
-/** One well-formed `rsin-lint: allow(...)` suppression comment. */
-struct Directive
-{
-    std::size_t line = 0;       ///< line the comment sits on
-    std::set<std::string> rules; ///< rules it waives
-    /** Whether it masked any finding this run (transient; never
-     *  serialized -- a cached artifact replays with used=false). */
-    bool used = false;
-};
-
-/**
- * Everything the per-file analysis stage produces for one file: the
- * cacheable unit of the incremental engine.  Cross-TU stages (include
- * graph, symbol index, lock flow, R9) consume these; they never
- * re-read the file text.
- */
-struct FileArtifacts
-{
-    std::vector<Finding> findings; ///< per-file rule findings, raw
-    std::vector<Directive> directives;
-    std::vector<Finding> supErrors; ///< malformed suppressions (SUP)
-    std::vector<IncludeRef> includes;
-};
-
 struct SchemaManifest; // xtu_rules.hpp
 
 /** Per-phase wall-clock timings of one lint run (--timings). */
@@ -135,16 +106,6 @@ struct LintTimings
     double totalMs = 0.0;
 };
 
-/** Work accounting of one tree run, for cache tests and --timings. */
-struct LintStats
-{
-    std::size_t files = 0;        ///< files in the analyzed set
-    std::size_t analyzed = 0;     ///< per-file stage actually executed
-    std::size_t cacheHits = 0;    ///< artifacts served from the cache
-    bool treeHit = false;         ///< whole run served from the cache
-    bool cacheLoaded = false;     ///< a usable cache file was read
-};
-
 /** Knobs for a lint run beyond the file set itself. */
 struct LintOptions
 {
@@ -153,26 +114,16 @@ struct LintOptions
     /** Raw text of script/side files named by text-mode manifest
      *  entries, keyed by repo-relative path (see loadTextDocs()). */
     const std::map<std::string, std::string> *textDocs = nullptr;
-    /** Per-file stage worker threads: 0 = hardware concurrency. */
-    std::size_t jobs = 0;
-    /** Pre-computed artifacts by path (cache hits); files present
-     *  here skip the per-file stage (tokens are still recomputed --
-     *  the cross-TU stages are whole-program). */
-    const std::map<std::string, FileArtifacts> *prebuilt = nullptr;
-    /** When set, receives every file's artifacts for cache writing. */
-    std::map<std::string, FileArtifacts> *artifactsOut = nullptr;
-    LintStats *stats = nullptr;       ///< optional work accounting
     LintTimings *timings = nullptr;   ///< optional phase timings
 };
 
 /**
- * Lint a set of files as one program: per-file rules (R1-R5, R8),
- * include-graph rules (R6 layering, R7 cycles) over the whole set,
- * cross-TU rules (R10 worker-state writes, R11 worker-context calls,
- * R12 schema drift when a manifest is supplied), suppression
+ * Lint a set of files as one program: per-file rules (R1-R5, R8,
+ * R11), include-graph rules (R6 layering, R7 cycles) over the whole
+ * set, R12 schema drift when a manifest is supplied, suppression
  * application, and stale-suppression detection (R9).  Paths decide
  * rule scoping (e.g. R2 only fires under src/des, src/rsin, src/exec,
- * src/workload; R10/R11 never fire under tests/); they are matched
+ * src/workload; R11 never fires under tests/); they are matched
  * textually, so callers pass repo-relative paths with forward
  * slashes.  Findings come back sorted by (file, line, rule).
  */
@@ -186,14 +137,6 @@ std::vector<Finding> lintFiles(const std::vector<SourceFile> &files);
 std::vector<Finding> lintSource(const std::string &path,
                                 const std::string &content);
 
-/**
- * The per-file analysis stage for one file: strip + per-file rules
- * (R1-R5, R8), suppression-directive parsing, include extraction.
- * Pure in the file content -- this is the unit the parallel engine
- * fans out and the lint cache persists.
- */
-FileArtifacts analyzeFileArtifacts(const SourceFile &file);
-
 /** Result of a whole-tree walk. */
 struct TreeReport
 {
@@ -201,19 +144,7 @@ struct TreeReport
     /** Files that could not be read; the caller must report these and
      *  exit non-zero rather than pretend the tree was fully linted. */
     std::vector<std::string> unreadable;
-    LintStats stats;
     LintTimings timings;
-};
-
-/** Knobs for a lintTree() run. */
-struct TreeOptions
-{
-    /** Path of the persistent lint cache; empty = caching off.  A
-     *  missing or corrupt cache file means a cold run, never an
-     *  error. */
-    std::string cachePath;
-    /** Per-file stage worker threads: 0 = hardware concurrency. */
-    std::size_t jobs = 0;
 };
 
 /**
@@ -227,17 +158,6 @@ struct TreeOptions
  * FatalError when @p root lacks those directories entirely.
  */
 TreeReport lintTree(const std::string &root);
-
-/** lintTree() with an explicit cache path and thread count. */
-TreeReport lintTree(const std::string &root, const TreeOptions &opts);
-
-/**
- * The file set a lintTree() run would analyze (sorted, fixtures
- * excluded), without linting it -- the input to --dump-symbols /
- * --dump-callgraph.  Unreadable files are silently skipped here;
- * lintTree() itself still reports them.
- */
-std::vector<SourceFile> collectTree(const std::string &root);
 
 /** Render findings one per line: "file:line: [rule] message". */
 std::string formatFindings(const std::vector<Finding> &findings);

@@ -26,20 +26,6 @@
  *                                      <root>/tools/rsin_lint/
  *                                      schemas.json (file mode only;
  *                                      tree mode loads it itself)
- *   rsin_lint --dump-symbols           print the cross-TU symbol index
- *                                      and exit 0
- *   rsin_lint --dump-callgraph         print resolved call edges and
- *                                      worker roots and exit 0
- *   rsin_lint --dump-lockgraph         print the lock-order graph
- *                                      (locks, edges, cycles, worker
- *                                      entry contexts) and exit 0
- *   rsin_lint --jobs N                 per-file stage threads (0 =
- *                                      hardware concurrency; findings
- *                                      are identical for any N)
- *   rsin_lint --cache FILE             persist per-file artifacts so
- *                                      warm runs only re-analyze
- *                                      edited files (tree mode only)
- *   rsin_lint --no-cache               ignore --cache for this run
  *   rsin_lint --timings                print per-phase timings to
  *                                      stderr
  *
@@ -59,9 +45,7 @@
 #include <vector>
 
 #include "lint.hpp"
-#include "lockflow.hpp"
 #include "output.hpp"
-#include "symbols.hpp"
 #include "xtu_rules.hpp"
 
 namespace {
@@ -114,13 +98,7 @@ main(int argc, char **argv)
     std::string schemasPath;
     bool emitBaselineMode = false;
     bool ratchet = false;
-    bool dumpSymbolsMode = false;
-    bool dumpCallGraphMode = false;
-    bool dumpLockGraphMode = false;
-    bool noCache = false;
     bool timingsMode = false;
-    std::string cachePath;
-    std::size_t jobs = 0;
     std::vector<std::string> files;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -154,34 +132,8 @@ main(int argc, char **argv)
                 return 2;
             }
             schemasPath = argv[++i];
-        } else if (arg == "--dump-symbols") {
-            dumpSymbolsMode = true;
-        } else if (arg == "--dump-callgraph") {
-            dumpCallGraphMode = true;
-        } else if (arg == "--dump-lockgraph") {
-            dumpLockGraphMode = true;
-        } else if (arg == "--cache") {
-            if (i + 1 >= argc) {
-                std::cerr << "rsin-lint: --cache needs a file\n";
-                return 2;
-            }
-            cachePath = argv[++i];
-        } else if (arg == "--no-cache") {
-            noCache = true;
         } else if (arg == "--timings") {
             timingsMode = true;
-        } else if (arg == "--jobs") {
-            if (i + 1 >= argc) {
-                std::cerr << "rsin-lint: --jobs needs a count\n";
-                return 2;
-            }
-            try {
-                jobs = static_cast<std::size_t>(
-                    std::stoul(argv[++i]));
-            } catch (const std::exception &) {
-                std::cerr << "rsin-lint: --jobs wants a number\n";
-                return 2;
-            }
         } else if (arg == "--list-rules") {
             printRules(std::cout);
             return 0;
@@ -189,10 +141,8 @@ main(int argc, char **argv)
             std::cout << "usage: rsin_lint [--root DIR] "
                          "[--format=text|json|sarif] [--baseline FILE] "
                          "[--emit-baseline] [--ratchet] "
-                         "[--schemas FILE] [--jobs N] [--cache FILE] "
-                         "[--no-cache] [--timings] [--dump-symbols] "
-                         "[--dump-callgraph] [--dump-lockgraph] "
-                         "[--list-rules] [file...]\n";
+                         "[--schemas FILE] [--timings] [--list-rules] "
+                         "[file...]\n";
             printRules(std::cout);
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -204,51 +154,10 @@ main(int argc, char **argv)
     }
 
     try {
-        if (dumpSymbolsMode || dumpCallGraphMode ||
-            dumpLockGraphMode) {
-            // Debug views of the cross-TU layer over the same file
-            // set a lint run would see.
-            std::vector<rsin::lint::SourceFile> sources;
-            if (files.empty()) {
-                sources = rsin::lint::collectTree(root);
-            } else {
-                for (const std::string &file : files) {
-                    bool ok = false;
-                    std::string content =
-                        readFileOr(root + "/" + file, ok);
-                    if (!ok) {
-                        std::cerr << "rsin-lint: cannot read " << file
-                                  << " under " << root << "\n";
-                        return 2;
-                    }
-                    sources.push_back({file, std::move(content)});
-                }
-            }
-            const rsin::lint::Program prog =
-                rsin::lint::indexProgram(sources);
-            if (dumpSymbolsMode)
-                std::cout << rsin::lint::dumpSymbols(prog);
-            if (dumpCallGraphMode)
-                std::cout << rsin::lint::dumpCallGraph(
-                    prog, rsin::lint::analyzeWorkers(prog));
-            if (dumpLockGraphMode) {
-                const rsin::lint::WorkerAnalysis wa =
-                    rsin::lint::analyzeWorkers(prog);
-                std::cout << rsin::lint::dumpLockGraph(
-                    prog, rsin::lint::analyzeLockFlow(prog, wa));
-            }
-            return 0;
-        }
-
         std::vector<rsin::lint::Finding> findings;
         bool ioError = false;
         if (files.empty()) {
-            rsin::lint::TreeOptions treeOpts;
-            if (!noCache)
-                treeOpts.cachePath = cachePath;
-            treeOpts.jobs = jobs;
-            rsin::lint::TreeReport report =
-                rsin::lint::lintTree(root, treeOpts);
+            rsin::lint::TreeReport report = rsin::lint::lintTree(root);
             findings = std::move(report.findings);
             if (timingsMode)
                 printTimings(report.timings);
@@ -284,7 +193,6 @@ main(int argc, char **argv)
                 manifest = rsin::lint::parseSchemaManifest(text);
                 options.schemas = &manifest;
             }
-            options.jobs = jobs;
             rsin::lint::LintTimings timings;
             if (timingsMode)
                 options.timings = &timings;

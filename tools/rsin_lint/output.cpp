@@ -1,6 +1,6 @@
 #include "output.hpp"
 
-#include "json_mini.hpp"
+#include "obs/json.hpp"
 
 #include <cctype>
 #include <cstdio>
@@ -65,22 +65,13 @@ ruleCatalog()
                "Rng&&, or derive a child with split()"},
         {"R9", "no stale suppressions: every allow(...) must mask a "
                "live finding"},
-        {"R10", "no writes to mutable namespace-scope or static-local "
-                "state on a worker-thread-reachable path without lock "
-                "evidence in the writing body (cross-TU call graph "
-                "from ThreadPool::submit / parallelFor / std::thread "
-                "roots)"},
         {"R11", "no non-reentrant calls (strtok, setenv, localtime, "
-                "...) or filesystem writes outside "
-                "common::writeFileAtomic on a worker-thread-reachable "
-                "path"},
+                "...) and no direct file writes (ofstream, fopen, "
+                ".open) outside tests/ and common::writeFileAtomic's "
+                "home src/common/fsio"},
         {"R12", "serialized writer/parser field sets must match "
                 "tools/rsin_lint/schemas.json; changing emitted "
                 "fields requires a schema-version bump"},
-        {"R13", "no cycles or self-loops in the interprocedural "
-                "lock-order graph (lock B acquired while A held); "
-                "every pair of locks must be taken in one global "
-                "order on all worker-reachable paths"},
         {"SUP", "suppression comments must name known rules and carry "
                 "a reason"},
     };
@@ -181,42 +172,38 @@ emitBaseline(const std::vector<Finding> &findings)
 Baseline
 parseBaseline(const std::string &json)
 {
-    const JsonValue doc = JsonReader(json, "baseline").parse();
-    if (doc.kind != JsonValue::Kind::Object)
+    using Kind = obs::JsonValue::Kind;
+    const obs::JsonValue doc = obs::parseJson(json);
+    if (doc.kind != Kind::Object)
         throw std::runtime_error(
             "baseline: top-level value must be an object");
-    const auto schema = doc.object.find("schema");
-    if (schema == doc.object.end() ||
-        schema->second.kind != JsonValue::Kind::String ||
-        schema->second.string != kBaselineSchema)
+    const obs::JsonValue *schema = doc.find("schema");
+    if (schema == nullptr || schema->kind != Kind::String ||
+        schema->text != kBaselineSchema)
         throw std::runtime_error(
             std::string("baseline: missing or unsupported schema "
                         "(expected \"") + kBaselineSchema + "\")");
-    const auto entries = doc.object.find("entries");
-    if (entries == doc.object.end() ||
-        entries->second.kind != JsonValue::Kind::Array)
+    const obs::JsonValue *entries = doc.find("entries");
+    if (entries == nullptr || entries->kind != Kind::Array)
         throw std::runtime_error(
             "baseline: missing \"entries\" array");
     Baseline baseline;
-    for (const JsonValue &entry : entries->second.array) {
-        if (entry.kind != JsonValue::Kind::Object)
+    for (const obs::JsonValue &entry : entries->items) {
+        if (entry.kind != Kind::Object)
             throw std::runtime_error(
                 "baseline: every entry must be an object");
-        const auto file = entry.object.find("file");
-        const auto rule = entry.object.find("rule");
-        const auto count = entry.object.find("count");
-        if (file == entry.object.end() ||
-            file->second.kind != JsonValue::Kind::String ||
-            rule == entry.object.end() ||
-            rule->second.kind != JsonValue::Kind::String ||
-            count == entry.object.end() ||
-            count->second.kind != JsonValue::Kind::Number ||
-            count->second.number < 0)
+        const obs::JsonValue *file = entry.find("file");
+        const obs::JsonValue *rule = entry.find("rule");
+        const obs::JsonValue *count = entry.find("count");
+        if (file == nullptr || file->kind != Kind::String ||
+            rule == nullptr || rule->kind != Kind::String ||
+            count == nullptr || count->kind != Kind::Number ||
+            count->number < 0)
             throw std::runtime_error(
                 "baseline: entries need a file (string), rule "
                 "(string) and count (non-negative number)");
-        baseline.allowed[{file->second.string, rule->second.string}] +=
-            static_cast<std::size_t>(count->second.number);
+        baseline.allowed[{file->text, rule->text}] +=
+            static_cast<std::size_t>(count->number);
     }
     return baseline;
 }

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <deque>
-#include <sstream>
+#include <set>
 
 namespace rsin {
 namespace lint {
@@ -190,24 +189,18 @@ tokenizeFull(const std::string &src)
 
 namespace {
 
-/** One entry of the parser's scope stack. */
-struct ScopeEnt
-{
-    enum class Kind { Namespace, Class, Function, Lambda, Block, Misc };
-    Kind kind;
-    std::string name; ///< namespace/class name ("" for the rest)
-    int symbol = -1;  ///< symbol id for Function/Lambda scopes
-};
-
-/** Per-file indexing state shared by the parsing helpers. */
+/**
+ * Declaration walk over one file's tokens.  The scope stack holds the
+ * enclosing namespace/class names (empty for anonymous namespaces);
+ * function bodies and other blocks declare nothing R12 reads, so the
+ * walk records their token range and jumps past them.
+ */
 struct FileParse
 {
     const std::vector<FullTok> &t;
     const std::string &file;
     Program &prog;
-    std::vector<ScopeEnt> scopes;
-    /** token index of each lambda's '[' -> its symbol id. */
-    std::map<std::size_t, int> lambdaAt;
+    std::vector<std::string> scopes;
 
     FileParse(const std::vector<FullTok> &toks, const std::string &path,
               Program &program)
@@ -233,44 +226,21 @@ struct FileParse
         return isI(i) && t[i].text == name;
     }
 
-    /** Innermost Function/Lambda symbol, or -1. */
-    int
-    currentSymbol() const
-    {
-        for (auto it = scopes.rbegin(); it != scopes.rend(); ++it)
-            if (it->kind == ScopeEnt::Kind::Function ||
-                it->kind == ScopeEnt::Kind::Lambda)
-                return it->symbol;
-        return -1;
-    }
-
-    /** True when the innermost scope collects declarations. */
-    bool
-    declContext() const
-    {
-        if (scopes.empty())
-            return true;
-        const ScopeEnt::Kind k = scopes.back().kind;
-        return k == ScopeEnt::Kind::Namespace ||
-               k == ScopeEnt::Kind::Class;
-    }
-
     /** namespace/class qualification of the current scope chain. */
     std::string
     scopePrefix() const
     {
         std::string out;
-        for (const ScopeEnt &s : scopes)
-            if ((s.kind == ScopeEnt::Kind::Namespace ||
-                 s.kind == ScopeEnt::Kind::Class) &&
-                !s.name.empty())
-                out += s.name + "::";
+        for (const std::string &s : scopes)
+            if (!s.empty())
+                out += s + "::";
         return out;
     }
 
-    /** Index just past the token matching the opener at @p i. */
+    /** Index of the token closing the group opened at @p i, or
+     *  t.size() when the file ends first. */
     std::size_t
-    matchBalanced(std::size_t i) const
+    closeOf(std::size_t i) const
     {
         static const std::map<std::string, std::string> pairs{
             {"(", ")"}, {"[", "]"}, {"{", "}"}};
@@ -283,276 +253,20 @@ struct FileParse
             if (t[j].text == open)
                 ++depth;
             else if (t[j].text == close && --depth == 0)
-                return j + 1;
+                return j;
         }
         return t.size();
     }
 
-    int
-    addSymbol(Symbol sym)
-    {
-        const int id = static_cast<int>(prog.symbols.size());
-        prog.byName[sym.name].push_back(id);
-        prog.symbols.push_back(std::move(sym));
-        return id;
-    }
-
-    /**
-     * Split the parameter list between the parens opening at @p open
-     * into names.  Template commas are guarded by a conservative
-     * angle-bracket depth (only '<' after an identifier or '>' opens).
-     */
-    std::vector<std::string>
-    parseParams(std::size_t open) const
-    {
-        std::vector<std::string> params;
-        const std::size_t end = matchBalanced(open) - 1;
-        std::size_t depth = 0;  // (), [], {}
-        std::size_t angles = 0; // <>
-        std::size_t segStart = open + 1;
-        const auto flush = [&](std::size_t segEnd) {
-            // Name = last identifier before a default value.
-            std::string name;
-            for (std::size_t k = segStart; k < segEnd; ++k) {
-                if (t[k].kind == 'p' && t[k].text == "=" && depth == 0)
-                    break;
-                if (t[k].kind == 'i' && !isControlKeyword(t[k].text))
-                    name = t[k].text;
-            }
-            if (!name.empty() && name != "void")
-                params.push_back(name);
-            else if (segEnd > segStart)
-                params.push_back(std::string()); // unnamed slot
-        };
-        for (std::size_t j = open + 1; j < end; ++j) {
-            if (t[j].kind == 'p') {
-                const std::string &p = t[j].text;
-                if (p == "(" || p == "[" || p == "{")
-                    ++depth;
-                else if (p == ")" || p == "]" || p == "}")
-                    --depth;
-                else if (p == "<" && j > 0 &&
-                         (t[j - 1].kind == 'i' ||
-                          t[j - 1].text == ">"))
-                    ++angles;
-                else if (p == ">" && angles > 0)
-                    --angles;
-                else if (p == "," && depth == 0 && angles == 0) {
-                    flush(j);
-                    segStart = j + 1;
-                }
-            }
-        }
-        if (end > segStart)
-            flush(end);
-        return params;
-    }
-
-    /**
-     * Try to read a lambda starting at the '[' at @p i.  On success
-     * the Lambda scope is pushed and the return value is the index
-     * just after the body's '{'; otherwise returns @p i unchanged.
-     */
+    /** Index just past the token matching the opener at @p i. */
     std::size_t
-    tryLambda(std::size_t i)
+    matchBalanced(std::size_t i) const
     {
-        if (i > 0 && (t[i - 1].kind == 'i' || t[i - 1].kind == 'n' ||
-                      t[i - 1].kind == 's' || isP(i - 1, ")") ||
-                      isP(i - 1, "]")))
-            return i; // subscript
-        if (isP(i + 1, "["))
-            return i; // [[attribute]]
-        const std::size_t closeB = matchBalanced(i);
-        if (closeB >= t.size())
-            return i;
-        std::size_t j = closeB;
-        std::vector<std::string> params;
-        if (isP(j, "(")) {
-            params = parseParams(j);
-            j = matchBalanced(j);
-        }
-        // Trailing specifiers / return type up to the body brace.
-        std::size_t guard = 0;
-        while (j < t.size() && !isP(j, "{")) {
-            if (isP(j, ";") || isP(j, ")") || isP(j, ",") ||
-                isP(j, "]") || isP(j, "=") || ++guard > 64)
-                return i; // not a lambda after all
-            if (isP(j, "(") || isP(j, "<"))
-                ++j; // balanced groups inside a return type are rare
-            ++j;
-        }
-        if (j >= t.size())
-            return i;
-
-        const int parent = currentSymbol();
-        Symbol sym;
-        sym.name = "(lambda@" + std::to_string(t[i].line) + ")";
-        sym.qualified =
-            (parent >= 0 ? prog.symbols[parent].qualified + "::"
-                         : scopePrefix()) +
-            sym.name;
-        sym.file = file;
-        sym.line = t[i].line;
-        sym.isLambda = true;
-        sym.parent = parent;
-        sym.params = std::move(params);
-        sym.bodyBegin = j + 1;
-        const int id = addSymbol(std::move(sym));
-        lambdaAt[i] = id;
-        // `auto name = [..]` binds the lambda to a local variable.
-        if (i >= 2 && isP(i - 1, "=") && isI(i - 2) && parent >= 0)
-            prog.lambdaVars[{parent, t[i - 2].text}] = id;
-        scopes.push_back({ScopeEnt::Kind::Lambda, "", id});
-        return j + 1;
+        return std::min(closeOf(i) + 1, t.size());
     }
 
-    /** Record one namespace-scope / class-static / local-static var. */
-    void
-    recordVar(std::size_t stmtBegin, std::size_t stmtEnd,
-              bool staticLocal)
-    {
-        bool isConst = false;
-        bool sync = false;
-        for (std::size_t k = stmtBegin; k < stmtEnd; ++k) {
-            if (t[k].kind != 'i')
-                continue;
-            const std::string &w = t[k].text;
-            if (w == "const" || w == "constexpr" || w == "constinit" ||
-                w == "thread_local" || w == "using" ||
-                w == "typedef" || w == "extern" || w == "friend")
-                isConst = true;
-            if (w == "atomic" || w == "mutex" || w == "shared_mutex" ||
-                w == "once_flag" || w == "condition_variable" ||
-                w == "atomic_flag")
-                sync = true;
-        }
-        if (isConst)
-            return;
-        // Name: last identifier before the initializer or terminator.
-        std::string name;
-        std::size_t nameLine = 0;
-        std::size_t nameCol = 0;
-        std::size_t depth = 0;
-        std::size_t angles = 0;
-        for (std::size_t k = stmtBegin; k < stmtEnd; ++k) {
-            if (t[k].kind == 'p') {
-                const std::string &p = t[k].text;
-                if (p == "(")
-                    return; // function declaration / ctor-style init
-                if (p == "[" || p == "{") {
-                    ++depth;
-                    if (depth == 1 && !name.empty())
-                        break; // initializer or array extent reached
-                } else if (p == "]" || p == "}") {
-                    --depth;
-                } else if (p == "<" && k > 0 && t[k - 1].kind == 'i') {
-                    ++angles;
-                } else if (p == ">" && angles > 0) {
-                    --angles;
-                } else if (p == "=" && depth == 0 && angles == 0) {
-                    break;
-                }
-                continue;
-            }
-            if (t[k].kind == 'i' && depth == 0 && angles == 0 &&
-                !isControlKeyword(t[k].text)) {
-                name = t[k].text;
-                nameLine = t[k].line;
-                nameCol = t[k].col;
-            }
-        }
-        if (name.empty())
-            return;
-        GlobalVar var;
-        var.name = name;
-        var.file = file;
-        var.line = nameLine == 0 ? t[stmtBegin].line : nameLine;
-        (void)nameCol;
-        var.synchronized = sync;
-        var.staticLocal = staticLocal;
-        var.owner = staticLocal ? currentSymbol() : -1;
-        prog.globals.push_back(std::move(var));
-    }
-
-    /** Record a call expression whose name token is at @p i. */
-    void
-    recordCall(std::size_t i)
-    {
-        const int caller = currentSymbol();
-        if (caller < 0)
-            return;
-        if (isControlKeyword(t[i].text))
-            return;
-        CallSite call;
-        call.caller = caller;
-        call.name = t[i].text;
-        call.file = file;
-        call.line = t[i].line;
-        call.col = t[i].col;
-        call.tok = i;
-        // Walk the qualifier chain backwards: (ident ::)* name.
-        std::size_t head = i;
-        std::vector<std::string> quals;
-        while (head >= 2 && isP(head - 1, "::") && isI(head - 2)) {
-            quals.push_back(t[head - 2].text);
-            head -= 2;
-        }
-        std::reverse(quals.begin(), quals.end());
-        for (std::size_t q = 0; q < quals.size(); ++q)
-            call.qualifier += (q ? "::" : "") + quals[q];
-        call.memberCall =
-            head >= 1 && (isP(head - 1, ".") || isP(head - 1, "->"));
-        if (call.memberCall && head >= 2 && isI(head - 2))
-            call.receiver = t[head - 2].text;
-        // Arguments: top-level comma split between the parens.
-        const std::size_t open = i + 1;
-        const std::size_t close = matchBalanced(open) - 1;
-        std::size_t depth = 0;
-        std::size_t segStart = open + 1;
-        const auto classify = [&](std::size_t b, std::size_t e) {
-            CallArg arg;
-            if (b >= e)
-                return arg;
-            if (isP(b, "&") && e == b + 2 && isI(b + 1)) {
-                arg.kind = CallArg::Kind::Ident;
-                arg.ident = t[b + 1].text;
-                return arg;
-            }
-            if (e == b + 1 && isI(b)) {
-                arg.kind = CallArg::Kind::Ident;
-                arg.ident = t[b].text;
-                return arg;
-            }
-            if (isP(b, "[")) {
-                // Resolved to the lambda symbol after the file walk
-                // (the lambda is indexed when the walk reaches it).
-                arg.kind = CallArg::Kind::Lambda;
-                arg.lambda = -static_cast<int>(b) - 2; // token marker
-            }
-            return arg;
-        };
-        for (std::size_t j = open + 1; j < close; ++j) {
-            if (t[j].kind != 'p')
-                continue;
-            const std::string &p = t[j].text;
-            if (p == "(" || p == "[" || p == "{")
-                ++depth;
-            else if (p == ")" || p == "]" || p == "}")
-                --depth;
-            else if (p == "," && depth == 0) {
-                call.args.push_back(classify(segStart, j));
-                segStart = j + 1;
-            }
-        }
-        if (close > segStart)
-            call.args.push_back(classify(segStart, close));
-        prog.calls.push_back(std::move(call));
-    }
-
-    /**
-     * In declaration context: classify the construct starting at @p i
-     * and return the index to continue from.
-     */
+    /** Classify the construct starting at @p i; return the index to
+     *  continue from. */
     std::size_t
     declaration(std::size_t i)
     {
@@ -564,8 +278,7 @@ struct FileParse
                 ++j;
             }
             if (isP(j, "{")) {
-                scopes.push_back(
-                    {ScopeEnt::Kind::Namespace, name, -1});
+                scopes.push_back(name);
                 return j + 1;
             }
             while (j < t.size() && !isP(j, ";"))
@@ -604,9 +317,9 @@ struct FileParse
                    !isP(j, "("))
                 ++j;
             if (isP(j, "{")) {
-                scopes.push_back({isEnum ? ScopeEnt::Kind::Misc
-                                         : ScopeEnt::Kind::Class,
-                                  name, -1});
+                if (isEnum)
+                    return matchBalanced(j);
+                scopes.push_back(name);
                 return j + 1;
             }
             if (isP(j, "("))
@@ -620,48 +333,28 @@ struct FileParse
                 j = isP(j, "{") || isP(j, "(") ? matchBalanced(j) : j + 1;
             return j + 1;
         }
-        if (isP(i, "[")) {
-            const std::size_t after = tryLambda(i);
-            if (after != i)
-                return after;
-        }
 
-        // Statement scan: find a function-definition pattern or a
-        // variable declaration before the closing ';'.
+        // Statement scan: a function-definition pattern, or the ';'
+        // (after any initializer) that ends a variable declaration.
         std::size_t j = i;
         while (j < t.size()) {
             if (isP(j, ";"))
-                return declVariable(i, j);
+                return j + 1;
             if (isP(j, "=")) {
-                // Initializer: scan to the ';' skipping groups.
-                std::size_t k = j;
-                while (k < t.size() && !isP(k, ";"))
-                    k = isP(k, "{") || isP(k, "(") || isP(k, "[")
-                            ? matchBalanced(k)
-                            : k + 1;
-                return declVariable(i, k);
+                while (j < t.size() && !isP(j, ";"))
+                    j = isP(j, "{") || isP(j, "(") || isP(j, "[")
+                            ? matchBalanced(j)
+                            : j + 1;
+                return j + 1;
             }
             if (isI(j) && isP(j + 1, "(") &&
                 !isControlKeyword(t[j].text))
-                return declFunction(i, j);
+                return declFunction(j);
             if (isI(j, "operator")) {
-                // Operator functions: skip to the body or ';' without
-                // indexing (operators are never worker roots).
+                // Operator functions are never schema writers.
                 while (j < t.size() && !isP(j, "{") && !isP(j, ";"))
                     j = isP(j, "(") ? matchBalanced(j) : j + 1;
-                if (isP(j, "{")) {
-                    Symbol sym;
-                    sym.name = "(operator@" +
-                               std::to_string(t[i].line) + ")";
-                    sym.qualified = scopePrefix() + sym.name;
-                    sym.file = file;
-                    sym.line = t[i].line;
-                    sym.bodyBegin = j + 1;
-                    const int id = addSymbol(std::move(sym));
-                    scopes.push_back(
-                        {ScopeEnt::Kind::Function, "", id});
-                }
-                return j + 1;
+                return isP(j, "{") ? matchBalanced(j) : j + 1;
             }
             if (isP(j, "{") || isP(j, "(") || isP(j, "["))
                 j = matchBalanced(j);
@@ -671,34 +364,15 @@ struct FileParse
         return j;
     }
 
-    /** Declaration statement [begin, semi) that is not a function. */
-    std::size_t
-    declVariable(std::size_t begin, std::size_t semi)
-    {
-        // Class members are per-object state, not shared globals --
-        // except explicit `static` members.
-        const bool inClass =
-            !scopes.empty() &&
-            scopes.back().kind == ScopeEnt::Kind::Class;
-        bool isStatic = false;
-        for (std::size_t k = begin; k < semi && k < begin + 4; ++k)
-            if (isI(k, "static"))
-                isStatic = true;
-        if (!inClass || isStatic)
-            recordVar(begin, semi, false);
-        return semi + 1;
-    }
-
     /**
      * Possible function whose name token is at @p name (followed by
-     * '(').  Returns the continuation index; pushes a Function scope
-     * when a body follows.
+     * '(').  Records a Symbol when a body follows and returns the
+     * index just past it.
      */
     std::size_t
-    declFunction(std::size_t begin, std::size_t name)
+    declFunction(std::size_t name)
     {
-        const std::size_t open = name + 1;
-        std::size_t j = matchBalanced(open);
+        std::size_t j = matchBalanced(name + 1);
         // Trailer: const/noexcept/override/->ret/ctor-init list, then
         // '{' for a definition or ';'/','/'=' for a declaration.
         while (j < t.size()) {
@@ -716,7 +390,7 @@ struct FileParse
                 // Ctor init list: members with (..) or {..} groups.
                 ++j;
                 while (j < t.size() && !isP(j, "{")) {
-                    if (isP(j, "(") )
+                    if (isP(j, "("))
                         j = matchBalanced(j);
                     else if (isP(j, ";"))
                         return j + 1;
@@ -736,14 +410,13 @@ struct FileParse
             return j + 1;
 
         // Qualifier chain written at the definition (Out::name).
-        std::string qual;
-        std::size_t head = name;
         std::vector<std::string> quals;
-        while (head >= 2 && isP(head - 1, "::") && isI(head - 2)) {
+        for (std::size_t head = name;
+             head >= 2 && isP(head - 1, "::") && isI(head - 2);
+             head -= 2)
             quals.push_back(t[head - 2].text);
-            head -= 2;
-        }
         std::reverse(quals.begin(), quals.end());
+        std::string qual;
         for (const std::string &q : quals)
             qual += q + "::";
 
@@ -752,45 +425,12 @@ struct FileParse
         sym.qualified = scopePrefix() + qual + sym.name;
         sym.file = file;
         sym.line = t[name].line;
-        sym.params = parseParams(open);
         sym.bodyBegin = j + 1;
-        const int id = addSymbol(std::move(sym));
-        scopes.push_back({ScopeEnt::Kind::Function, "", id});
-        (void)begin;
-        return j + 1;
-    }
-
-    /** Statement context: record calls, lambdas, static locals. */
-    std::size_t
-    statement(std::size_t i)
-    {
-        if (isP(i, "[")) {
-            const std::size_t after = tryLambda(i);
-            if (after != i)
-                return after;
-            return i + 1;
-        }
-        if (isI(i, "static") && currentSymbol() >= 0) {
-            // Local static declaration: up to the ';'.
-            std::size_t j = i + 1;
-            while (j < t.size() && !isP(j, ";") && !isP(j, "{") &&
-                   !isP(j, "("))
-                ++j;
-            std::size_t semi = i + 1;
-            while (semi < t.size() && !isP(semi, ";"))
-                semi = isP(semi, "{") || isP(semi, "(")
-                           ? matchBalanced(semi)
-                           : semi + 1;
-            recordVar(i, semi, true);
-            // Do NOT skip the statement: initializer expressions may
-            // contain calls/lambdas the walk must still visit.
-            return i + 1;
-        }
-        if (isI(i) && isP(i + 1, "(")) {
-            recordCall(i);
-            return i + 1;
-        }
-        return i + 1;
+        sym.bodyEnd = closeOf(j);
+        prog.byName[sym.name].push_back(
+            static_cast<int>(prog.symbols.size()));
+        prog.symbols.push_back(sym);
+        return matchBalanced(j);
     }
 
     void
@@ -799,47 +439,19 @@ struct FileParse
         std::size_t i = 0;
         while (i < t.size()) {
             if (isP(i, "}")) {
-                if (!scopes.empty()) {
-                    const ScopeEnt top = scopes.back();
-                    if ((top.kind == ScopeEnt::Kind::Function ||
-                         top.kind == ScopeEnt::Kind::Lambda) &&
-                        top.symbol >= 0)
-                        prog.symbols[static_cast<std::size_t>(
-                                         top.symbol)]
-                            .bodyEnd = i;
+                if (!scopes.empty())
                     scopes.pop_back();
-                }
                 ++i;
-                continue;
-            }
-            if (declContext()) {
-                if (isP(i, "{")) {
-                    scopes.push_back({ScopeEnt::Kind::Misc, "", -1});
-                    ++i;
-                    continue;
-                }
-                if (isP(i, ";") || isP(i, ":") || isI(i, "public") ||
-                    isI(i, "private") || isI(i, "protected")) {
-                    ++i;
-                    continue;
-                }
+            } else if (isP(i, "{")) {
+                i = matchBalanced(i); // a block declaring no functions
+            } else if (isP(i, ";") || isP(i, ":") ||
+                       isI(i, "public") || isI(i, "private") ||
+                       isI(i, "protected")) {
+                ++i;
+            } else {
                 i = declaration(i);
-                continue;
             }
-            if (isP(i, "{")) {
-                scopes.push_back({ScopeEnt::Kind::Block, "", -1});
-                ++i;
-                continue;
-            }
-            i = statement(i);
         }
-        // Unterminated scopes (unbalanced files): close the symbols.
-        for (const ScopeEnt &s : scopes)
-            if (s.symbol >= 0 &&
-                prog.symbols[static_cast<std::size_t>(s.symbol)]
-                        .bodyEnd == 0)
-                prog.symbols[static_cast<std::size_t>(s.symbol)]
-                    .bodyEnd = t.size();
     }
 };
 
@@ -848,331 +460,12 @@ struct FileParse
 Program
 indexProgram(const std::vector<SourceFile> &files)
 {
-    std::map<std::string, std::vector<FullTok>> tokens;
-    for (const SourceFile &file : files)
-        tokens[file.path] = tokenizeFull(file.content);
-    return indexProgram(files, std::move(tokens));
-}
-
-Program
-indexProgram(const std::vector<SourceFile> &files,
-             std::map<std::string, std::vector<FullTok>> tokens)
-{
     Program prog;
-    prog.tokens = std::move(tokens);
     for (const SourceFile &file : files) {
-        FileParse parse(prog.tokens[file.path], file.path, prog);
-        parse.run();
-        // Resolve inline-lambda call arguments recorded as token
-        // markers while the lambda symbols did not exist yet.
-        for (CallSite &call : prog.calls) {
-            if (call.file != file.path)
-                continue;
-            for (CallArg &arg : call.args) {
-                if (arg.kind != CallArg::Kind::Lambda ||
-                    arg.lambda >= 0)
-                    continue;
-                const std::size_t tokAt =
-                    static_cast<std::size_t>(-arg.lambda - 2);
-                const auto it = parse.lambdaAt.find(tokAt);
-                if (it != parse.lambdaAt.end())
-                    arg.lambda = it->second;
-                else
-                    arg.kind = CallArg::Kind::Other;
-            }
-        }
+        prog.tokens[file.path] = tokenizeFull(file.content);
+        FileParse(prog.tokens[file.path], file.path, prog).run();
     }
     return prog;
-}
-
-std::vector<int>
-resolveCall(const Program &prog, const CallSite &call)
-{
-    // A local variable bound to a lambda, visible from the caller or
-    // any lexically enclosing function.
-    for (int s = call.caller; s >= 0;
-         s = prog.symbols[static_cast<std::size_t>(s)].parent) {
-        const auto it = prog.lambdaVars.find({s, call.name});
-        if (it != prog.lambdaVars.end())
-            return {it->second};
-    }
-    const auto it = prog.byName.find(call.name);
-    if (it == prog.byName.end())
-        return {};
-    std::vector<int> candidates = it->second;
-    if (!call.qualifier.empty()) {
-        // Qualified: the written chain must be a suffix of the
-        // symbol's qualification ("obs::LedgerWriter::append" matches
-        // "rsin::obs::LedgerWriter::append").
-        std::vector<int> out;
-        const std::string want = call.qualifier + "::" + call.name;
-        for (const int id : candidates) {
-            const std::string &q =
-                prog.symbols[static_cast<std::size_t>(id)].qualified;
-            if (q.size() >= want.size() &&
-                q.compare(q.size() - want.size(), want.size(), want) ==
-                    0)
-                out.push_back(id);
-        }
-        return out;
-    }
-    // Member syntax on an explicit receiver other than `this` cannot
-    // be a self-call: `out_.close()` inside LedgerWriter targets the
-    // ofstream, not LedgerWriter::close.  Drop candidates scoped to
-    // the caller's own class so shared method names on std members do
-    // not fabricate call edges (which would poison worker
-    // reachability and the lock-order graph with false self-cycles).
-    if (call.memberCall && !call.receiver.empty() &&
-        call.receiver != "this") {
-        int outer = call.caller;
-        while (outer >= 0 &&
-               prog.symbols[static_cast<std::size_t>(outer)].isLambda)
-            outer = prog.symbols[static_cast<std::size_t>(outer)].parent;
-        std::string scope;
-        if (outer >= 0) {
-            const std::string &q =
-                prog.symbols[static_cast<std::size_t>(outer)].qualified;
-            const std::size_t cut = q.rfind("::");
-            if (cut != std::string::npos)
-                scope = q.substr(0, cut);
-        }
-        if (!scope.empty()) {
-            std::vector<int> kept;
-            for (const int id : candidates) {
-                const Symbol &cand =
-                    prog.symbols[static_cast<std::size_t>(id)];
-                if (cand.qualified != scope + "::" + cand.name)
-                    kept.push_back(id);
-            }
-            candidates = std::move(kept);
-            if (candidates.empty())
-                return {};
-        }
-    }
-    // Unqualified: prefer candidates in the same file (headers define
-    // inline methods next to their callers), else take the whole
-    // overload set -- conservative, but names in this tree are
-    // specific enough that the graph stays tight.
-    std::vector<int> sameFile;
-    for (const int id : candidates)
-        if (prog.symbols[static_cast<std::size_t>(id)].file ==
-            call.file)
-            sameFile.push_back(id);
-    if (!sameFile.empty() && !call.memberCall)
-        return sameFile;
-    return candidates;
-}
-
-namespace {
-
-/** Parameter indices of @p call that run on a worker thread. */
-std::set<std::size_t>
-spawnIndices(const Program &prog, const CallSite &call,
-             const std::map<int, std::set<std::size_t>> &forwarders)
-{
-    std::set<std::size_t> idx;
-    if (call.name == "submit")
-        idx.insert(0);
-    else if (call.name == "parallelFor")
-        idx.insert(1);
-    else if (call.name == "async")
-        for (std::size_t k = 0; k < call.args.size(); ++k)
-            idx.insert(k);
-    else if (call.name == "thread" || call.name == "jthread")
-        idx.insert(0);
-    for (const int id : resolveCall(prog, call)) {
-        const auto it = forwarders.find(id);
-        if (it != forwarders.end())
-            idx.insert(it->second.begin(), it->second.end());
-    }
-    return idx;
-}
-
-} // namespace
-
-WorkerAnalysis
-analyzeWorkers(const Program &prog)
-{
-    WorkerAnalysis wa;
-    std::set<int> roots;
-    std::map<int, std::set<std::size_t>> forwarders;
-
-    for (int pass = 0; pass < 8; ++pass) {
-        // 1. Roots: callables handed to spawn sites.
-        std::set<int> newRoots = roots;
-        for (const CallSite &call : prog.calls) {
-            const std::set<std::size_t> idx =
-                spawnIndices(prog, call, forwarders);
-            for (const std::size_t k : idx) {
-                if (k >= call.args.size())
-                    continue;
-                const CallArg &arg = call.args[k];
-                if (arg.kind == CallArg::Kind::Lambda &&
-                    arg.lambda >= 0) {
-                    newRoots.insert(arg.lambda);
-                } else if (arg.kind == CallArg::Kind::Ident) {
-                    bool bound = false;
-                    for (int s = call.caller; s >= 0;
-                         s = prog.symbols[static_cast<std::size_t>(s)]
-                                 .parent) {
-                        const auto it =
-                            prog.lambdaVars.find({s, arg.ident});
-                        if (it != prog.lambdaVars.end()) {
-                            newRoots.insert(it->second);
-                            bound = true;
-                            break;
-                        }
-                    }
-                    if (!bound) {
-                        const auto it = prog.byName.find(arg.ident);
-                        if (it != prog.byName.end())
-                            for (const int id : it->second)
-                                newRoots.insert(id);
-                    }
-                }
-            }
-        }
-
-        // 2. Reachability from the roots over call + nesting edges.
-        std::set<int> reachable;
-        std::map<int, int> parentOf;
-        std::deque<int> queue;
-        for (const int r : newRoots) {
-            if (reachable.insert(r).second) {
-                parentOf[r] = -1;
-                queue.push_back(r);
-            }
-        }
-        // Adjacency: calls per caller, lambdas per parent.
-        std::map<int, std::vector<int>> edges;
-        for (const CallSite &call : prog.calls)
-            for (const int id : resolveCall(prog, call))
-                edges[call.caller].push_back(id);
-        for (std::size_t s = 0; s < prog.symbols.size(); ++s)
-            if (prog.symbols[s].isLambda &&
-                prog.symbols[s].parent >= 0)
-                edges[prog.symbols[s].parent].push_back(
-                    static_cast<int>(s));
-        while (!queue.empty()) {
-            const int at = queue.front();
-            queue.pop_front();
-            const auto it = edges.find(at);
-            if (it == edges.end())
-                continue;
-            for (const int next : it->second)
-                if (reachable.insert(next).second) {
-                    parentOf[next] = at;
-                    queue.push_back(next);
-                }
-        }
-
-        // 3. Forwarders: a parameter of F invoked at a reachable
-        // point makes every callable passed to F a root next pass.
-        std::map<int, std::set<std::size_t>> newForwarders =
-            forwarders;
-        for (const CallSite &call : prog.calls) {
-            if (!reachable.count(call.caller))
-                continue;
-            for (int s = call.caller; s >= 0;
-                 s = prog.symbols[static_cast<std::size_t>(s)]
-                         .parent) {
-                const Symbol &sym =
-                    prog.symbols[static_cast<std::size_t>(s)];
-                for (std::size_t k = 0; k < sym.params.size(); ++k)
-                    if (sym.params[k] == call.name)
-                        newForwarders[s].insert(k);
-            }
-        }
-
-        const bool stable =
-            newRoots == roots && newForwarders == forwarders;
-        roots = std::move(newRoots);
-        forwarders = std::move(newForwarders);
-        wa.reachable = std::move(reachable);
-        wa.parentOf = std::move(parentOf);
-        if (stable)
-            break;
-    }
-    wa.roots.assign(roots.begin(), roots.end());
-    wa.forwarderParams = std::move(forwarders);
-    return wa;
-}
-
-std::string
-workerChain(const Program &prog, const WorkerAnalysis &wa, int sym)
-{
-    std::vector<int> chain;
-    for (int at = sym; at >= 0;) {
-        chain.push_back(at);
-        const auto it = wa.parentOf.find(at);
-        at = it == wa.parentOf.end() ? -1 : it->second;
-    }
-    std::reverse(chain.begin(), chain.end());
-    std::string out;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (i)
-            out += " -> ";
-        out += prog.symbols[static_cast<std::size_t>(chain[i])]
-                   .qualified;
-    }
-    return out;
-}
-
-std::string
-dumpSymbols(const Program &prog)
-{
-    std::ostringstream out;
-    out << "symbols: " << prog.symbols.size() << " functions, "
-        << prog.globals.size() << " mutable globals/statics\n";
-    for (const Symbol &sym : prog.symbols) {
-        out << "  " << sym.qualified << "  (" << sym.file << ":"
-            << sym.line;
-        if (!sym.params.empty()) {
-            out << "; params:";
-            for (const std::string &p : sym.params)
-                out << " " << (p.empty() ? "?" : p);
-        }
-        out << ")\n";
-    }
-    for (const GlobalVar &g : prog.globals) {
-        out << "  [state] " << g.name << "  (" << g.file << ":"
-            << g.line << (g.staticLocal ? "; static local" : "")
-            << (g.synchronized ? "; synchronized" : "") << ")\n";
-    }
-    return out.str();
-}
-
-std::string
-dumpCallGraph(const Program &prog, const WorkerAnalysis &wa)
-{
-    std::ostringstream out;
-    std::size_t edgeCount = 0;
-    std::ostringstream edges;
-    for (const CallSite &call : prog.calls) {
-        for (const int id : resolveCall(prog, call)) {
-            edges << "  "
-                  << prog.symbols[static_cast<std::size_t>(
-                                      call.caller)]
-                         .qualified
-                  << " -> "
-                  << prog.symbols[static_cast<std::size_t>(id)]
-                         .qualified
-                  << "  (" << call.file << ":" << call.line << ")\n";
-            ++edgeCount;
-        }
-    }
-    out << "callgraph: " << prog.symbols.size() << " nodes, "
-        << edgeCount << " resolved edges, " << wa.roots.size()
-        << " worker roots, " << wa.reachable.size()
-        << " worker-reachable\n";
-    for (const int r : wa.roots)
-        out << "  worker root: "
-            << prog.symbols[static_cast<std::size_t>(r)].qualified
-            << "  ("
-            << prog.symbols[static_cast<std::size_t>(r)].file << ":"
-            << prog.symbols[static_cast<std::size_t>(r)].line << ")\n";
-    out << edges.str();
-    return out.str();
 }
 
 } // namespace lint

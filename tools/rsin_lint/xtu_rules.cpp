@@ -1,13 +1,12 @@
 #include "xtu_rules.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
-#include "json_mini.hpp"
+#include "obs/json.hpp"
 
 namespace rsin {
 namespace lint {
@@ -15,275 +14,22 @@ namespace lint {
 namespace {
 
 bool
-underTests(const std::string &path)
-{
-    return path.rfind("tests/", 0) == 0;
-}
-
-bool
 identCharX(char c)
 {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/** Direct-child lambda body ranges of @p sym, sorted by start. */
-std::vector<std::pair<std::size_t, std::size_t>>
-childRanges(const Program &prog, int sym)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    for (const Symbol &s : prog.symbols)
-        if (s.isLambda && s.parent == sym && s.bodyEnd > s.bodyBegin)
-            out.emplace_back(s.bodyBegin, s.bodyEnd);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-/**
- * Iterate @p sym's own body tokens (nested lambdas excluded -- they
- * are separate symbols and get their own scan when reachable).
- */
-template <typename Fn>
-void
-forOwnBody(const Program &prog, int symId, Fn &&fn)
-{
-    const Symbol &sym = prog.symbols[static_cast<std::size_t>(symId)];
-    const auto tokIt = prog.tokens.find(sym.file);
-    if (tokIt == prog.tokens.end())
-        return;
-    const std::vector<FullTok> &toks = tokIt->second;
-    const auto children = childRanges(prog, symId);
-    std::size_t child = 0;
-    for (std::size_t k = sym.bodyBegin;
-         k < sym.bodyEnd && k < toks.size(); ++k) {
-        while (child < children.size() && children[child].second <= k)
-            ++child;
-        if (child < children.size() && k >= children[child].first) {
-            k = children[child].second - 1;
-            continue;
-        }
-        fn(toks, k);
-    }
-}
-
-/** True when @p k writes the identifier token at @p k. */
-bool
-isWriteAt(const std::vector<FullTok> &t, std::size_t k)
-{
-    const auto isP = [&](std::size_t i, const char *p) {
-        return i < t.size() && t[i].kind == 'p' && t[i].text == p;
-    };
-    // a = b  (but not a == b, and not inside b == a via prev token)
-    if (isP(k + 1, "=") && !isP(k + 2, "=") && !isP(k - 1, "=") &&
-        !isP(k - 1, "!") && !isP(k - 1, "<") && !isP(k - 1, ">"))
-        return true;
-    // compound assignment a += b, a |= b, ...
-    static const char *kCompound[] = {"+", "-", "*", "/",
-                                      "%", "&", "|", "^"};
-    for (const char *op : kCompound)
-        if (isP(k + 1, op) && isP(k + 2, "="))
-            return true;
-    // ++a / a++ / --a / a--
-    if ((isP(k + 1, "+") && isP(k + 2, "+")) ||
-        (isP(k + 1, "-") && isP(k + 2, "-")))
-        return true;
-    if (k >= 2 && ((isP(k - 2, "+") && isP(k - 1, "+")) ||
-                   (isP(k - 2, "-") && isP(k - 1, "-"))))
-        return true;
-    // mutating member call a.push_back(...), a->clear(), ...
-    static const std::set<std::string> kMutators{
-        "push_back", "pop_back", "emplace_back", "emplace",
-        "insert",    "erase",    "clear",        "resize",
-        "reserve",   "assign",   "swap",         "push",
-        "pop",       "reset",    "store",        "exchange",
-        "fetch_add", "fetch_sub"};
-    if ((isP(k + 1, ".") || isP(k + 1, "->")) && k + 3 < t.size() &&
-        t[k + 2].kind == 'i' && kMutators.count(t[k + 2].text) &&
-        isP(k + 3, "("))
-        return true;
-    return false;
-}
-
-/** @p owner is @p sym or one of its lexical ancestors. */
-bool
-ownsOrEncloses(const Program &prog, int owner, int sym)
-{
-    for (int s = sym; s >= 0;
-         s = prog.symbols[static_cast<std::size_t>(s)].parent)
-        if (s == owner)
-            return true;
-    return false;
-}
-
-Finding
-spanFinding(const std::string &file, const FullTok &tok,
-            const char *rule, std::string message)
-{
-    Finding f;
-    f.file = file;
-    f.line = tok.line;
-    f.rule = rule;
-    f.message = std::move(message);
-    f.column = tok.col;
-    f.endLine = tok.line;
-    f.endColumn = tok.col + tok.text.size();
-    return f;
-}
-
-} // namespace
-
-std::vector<Finding>
-checkWorkerState(const Program &prog, const WorkerAnalysis &wa,
-                 const LockFlow &lf)
-{
-    std::vector<Finding> out;
-    // Mutable, unsynchronized shared state by name.
-    std::map<std::string, std::vector<const GlobalVar *>> byName;
-    for (const GlobalVar &g : prog.globals)
-        if (!g.synchronized)
-            byName[g.name].push_back(&g);
-
-    // A mutable non-atomic static local *declared* in worker context
-    // is itself the finding: the object outlives the call and every
-    // worker gets the same instance.
-    for (const GlobalVar &g : prog.globals) {
-        if (!g.staticLocal || g.synchronized || g.owner < 0)
-            continue;
-        if (!wa.reachable.count(g.owner) || underTests(g.file))
-            continue;
-        const Symbol &owner =
-            prog.symbols[static_cast<std::size_t>(g.owner)];
-        out.push_back(
-            {g.file, g.line, "R10",
-             "mutable non-atomic static local '" + g.name +
-                 "' is shared across worker threads (" +
-                 workerChain(prog, wa, g.owner) +
-                 "); make it std::atomic, guard every access with "
-                 "the same mutex, or confirm the object is "
-                 "internally synchronized and suppress with the "
-                 "audit as the reason"});
-        (void)owner;
-    }
-
-    for (const int id : wa.reachable) {
-        const Symbol &sym =
-            prog.symbols[static_cast<std::size_t>(id)];
-        if (underTests(sym.file))
-            continue;
-        forOwnBody(prog, id,
-                   [&](const std::vector<FullTok> &toks,
-                       std::size_t k) {
-            if (toks[k].kind != 'i')
-                return;
-            const auto it = byName.find(toks[k].text);
-            if (it == byName.end())
-                return;
-            for (const GlobalVar *g : it->second) {
-                if (g->staticLocal) {
-                    // Only the owning function (or lambdas nested in
-                    // it) can really name a static local.
-                    if (!ownsOrEncloses(prog, g->owner, id))
-                        continue;
-                } else if (g->file != sym.file) {
-                    // Namespace-scope state is matched within its own
-                    // TU; cross-TU extern aliasing is out of scope.
-                    continue;
-                }
-                if (g->file == sym.file && g->line == toks[k].line)
-                    continue; // the declaration itself
-                if (!isWriteAt(toks, k))
-                    continue;
-                // The lock-set dataflow: a non-empty held set at the
-                // write token (locally held or inherited from every
-                // worker-reachable caller) means the write is
-                // serialized on every path.
-                if (!lf.heldAt(id, k).empty())
-                    continue;
-                out.push_back(spanFinding(
-                    sym.file, toks[k], "R10",
-                    "write to mutable shared state '" + g->name +
-                        "' on a worker-reachable path (" +
-                        workerChain(prog, wa, id) +
-                        ") with an empty lock set at the write "
-                        "(no guard in scope here and no lock held "
-                        "by every worker-path caller); guard it "
-                        "with a mutex or make it std::atomic"));
-            }
-        });
-    }
-    return out;
-}
-
-std::vector<Finding>
-checkWorkerCalls(const Program &prog, const WorkerAnalysis &wa)
-{
-    static const std::set<std::string> kNonReentrant{
-        "strtok", "setenv",  "putenv", "localtime", "gmtime",
-        "ctime",  "asctime", "tmpnam", "system"};
-    std::vector<Finding> out;
-    for (const int id : wa.reachable) {
-        const Symbol &sym =
-            prog.symbols[static_cast<std::size_t>(id)];
-        if (underTests(sym.file))
-            continue;
-        // writeFileAtomic's own implementation must open files.
-        if (sym.file.find("src/common/fsio") != std::string::npos)
-            continue;
-        forOwnBody(prog, id,
-                   [&](const std::vector<FullTok> &toks,
-                       std::size_t k) {
-            if (toks[k].kind != 'i')
-                return;
-            const auto isP = [&](std::size_t i, const char *p) {
-                return i < toks.size() && toks[i].kind == 'p' &&
-                       toks[i].text == p;
-            };
-            const std::string &name = toks[k].text;
-            if (kNonReentrant.count(name) && isP(k + 1, "(")) {
-                out.push_back(spanFinding(
-                    sym.file, toks[k], "R11",
-                    "call to non-reentrant '" + name +
-                        "' on a worker-reachable path (" +
-                        workerChain(prog, wa, id) +
-                        "); use a reentrant alternative or hoist "
-                        "it out of worker context"));
-                return;
-            }
-            const bool streamType =
-                name == "ofstream" || name == "fstream";
-            const bool cFileOpen =
-                (name == "fopen" || name == "freopen") &&
-                isP(k + 1, "(");
-            const bool memberOpen =
-                name == "open" && isP(k + 1, "(") && k >= 1 &&
-                (isP(k - 1, ".") || isP(k - 1, "->"));
-            if (streamType || cFileOpen || memberOpen) {
-                out.push_back(spanFinding(
-                    sym.file, toks[k], "R11",
-                    "direct file write ('" + name +
-                        "') on a worker-reachable path (" +
-                        workerChain(prog, wa, id) +
-                        "); route persistence through "
-                        "common::writeFileAtomic or serialize it "
-                        "behind the owning object's mutex"));
-            }
-        });
-    }
-    return out;
-}
-
-namespace {
 
 /** Require @p v to be a string member of @p obj, else throw. */
 std::string
-wantString(const JsonValue &obj, const char *key, const char *where)
+wantString(const obs::JsonValue &obj, const char *key, const char *where)
 {
-    const auto it = obj.object.find(key);
-    if (it == obj.object.end() ||
-        it->second.kind != JsonValue::Kind::String)
+    const obs::JsonValue *v = obj.find(key);
+    if (v == nullptr || v->kind != obs::JsonValue::Kind::String)
         throw std::runtime_error(
             std::string("schemas manifest: missing string '") + key +
             "' in " + where);
-    return it->second.string;
+    return v->text;
 }
 
 } // namespace
@@ -291,79 +37,73 @@ wantString(const JsonValue &obj, const char *key, const char *where)
 SchemaManifest
 parseSchemaManifest(const std::string &json)
 {
-    const JsonValue doc = JsonReader(json, "schemas").parse();
-    if (doc.kind != JsonValue::Kind::Object)
+    using Kind = obs::JsonValue::Kind;
+    const obs::JsonValue doc = obs::parseJson(json);
+    if (doc.kind != Kind::Object)
         throw std::runtime_error(
             "schemas manifest: top level is not an object");
-    const auto schema = doc.object.find("schema");
-    if (schema == doc.object.end() ||
-        schema->second.string != "rsin.lint_schemas.v1")
+    const obs::JsonValue *schema = doc.find("schema");
+    if (schema == nullptr || schema->kind != Kind::String ||
+        schema->text != "rsin.lint_schemas.v1")
         throw std::runtime_error("schemas manifest: expected schema "
                                  "tag rsin.lint_schemas.v1");
     SchemaManifest manifest;
-    const auto entries = doc.object.find("entries");
-    if (entries == doc.object.end() ||
-        entries->second.kind != JsonValue::Kind::Array)
+    const obs::JsonValue *entries = doc.find("entries");
+    if (entries == nullptr || entries->kind != Kind::Array)
         throw std::runtime_error(
             "schemas manifest: missing 'entries' array");
-    for (const JsonValue &e : entries->second.array) {
-        if (e.kind != JsonValue::Kind::Object)
+    for (const obs::JsonValue &e : entries->items) {
+        if (e.kind != Kind::Object)
             throw std::runtime_error(
                 "schemas manifest: entry is not an object");
         SchemaEntry entry;
         entry.tag = wantString(e, "tag", "entry");
-        const auto mode = e.object.find("mode");
-        if (mode != e.object.end()) {
-            if (mode->second.kind != JsonValue::Kind::String ||
-                (mode->second.string != "text" &&
-                 mode->second.string != "tokens"))
+        if (const obs::JsonValue *mode = e.find("mode")) {
+            if (mode->kind != Kind::String ||
+                (mode->text != "text" && mode->text != "tokens"))
                 throw std::runtime_error(
                     std::string("schemas manifest: entry '") +
                     entry.tag + "': 'mode' must be \"text\" or "
                     "\"tokens\"");
-            entry.textMode = mode->second.string == "text";
+            entry.textMode = mode->text == "text";
         }
-        const auto readFields = [&](const JsonValue &obj,
+        const auto readFields = [&](const obs::JsonValue &obj,
                                     const char *key,
                                     std::vector<std::string> &into) {
-            const auto it = obj.object.find(key);
-            if (it == obj.object.end())
+            const obs::JsonValue *list = obj.find(key);
+            if (list == nullptr)
                 return;
-            if (it->second.kind != JsonValue::Kind::Array)
+            if (list->kind != Kind::Array)
                 throw std::runtime_error(
                     std::string("schemas manifest: entry '") +
                     entry.tag + "': '" + key + "' is not an array");
-            for (const JsonValue &f : it->second.array)
-                into.push_back(f.string);
+            for (const obs::JsonValue &f : list->items)
+                into.push_back(f.text);
         };
         const auto side = [&](const char *key, std::string &file,
                               std::string &fn,
                               std::vector<std::string> &sideFields) {
-            const auto it = e.object.find(key);
-            if (it == e.object.end() ||
-                it->second.kind != JsonValue::Kind::Object)
+            const obs::JsonValue *obj = e.find(key);
+            if (obj == nullptr || obj->kind != Kind::Object)
                 throw std::runtime_error(
                     std::string("schemas manifest: entry '") +
                     entry.tag + "' missing object '" + key + "'");
-            file = wantString(it->second, "file", key);
+            file = wantString(*obj, "file", key);
             // Text-mode sides are whole scripts; "function" is
             // optional there and "-" by convention.
-            if (entry.textMode &&
-                it->second.object.find("function") ==
-                    it->second.object.end())
+            if (entry.textMode && obj->find("function") == nullptr)
                 fn = "-";
             else
-                fn = wantString(it->second, "function", key);
-            readFields(it->second, "fields", sideFields);
+                fn = wantString(*obj, "function", key);
+            readFields(*obj, "fields", sideFields);
         };
         side("writer", entry.writerFile, entry.writerFunction,
              entry.writerFields);
         side("parser", entry.parserFile, entry.parserFunction,
              entry.parserFields);
         readFields(e, "fields", entry.fields);
-        const auto words = e.object.find("words");
-        if (words != e.object.end())
-            entry.words = static_cast<long>(words->second.number);
+        if (const obs::JsonValue *words = e.find("words"))
+            entry.words = static_cast<long>(words->number);
         manifest.entries.push_back(std::move(entry));
     }
     return manifest;
@@ -704,12 +444,6 @@ checkSchemas(const Program &prog, const SchemaManifest &manifest,
              entry.parserFields, "parser");
     }
     return out;
-}
-
-std::vector<Finding>
-checkSchemas(const Program &prog, const SchemaManifest &manifest)
-{
-    return checkSchemas(prog, manifest, nullptr);
 }
 
 std::map<std::string, std::string>

@@ -2,24 +2,13 @@
 
 /**
  * @file
- * The cross-TU rule families built on the symbol index / call graph
- * (symbols.hpp):
- *
- *   R10  write to mutable namespace-scope or static-local state on a
- *        worker-reachable path without lock evidence in the writing
- *        body -- the static sibling of check_tsan.sh, catching races
- *        TSan only sees when the schedule cooperates.
- *   R11  call to a non-reentrant / environment-mutating function, or a
- *        direct filesystem write not routed through
- *        common::writeFileAtomic, on a worker-reachable path.
- *   R12  serialized-schema drift: the field set a writer emits and its
- *        parser consumes is fingerprinted against the committed
- *        manifest tools/rsin_lint/schemas.json; changing the fields
- *        without bumping the schema version is an error, because it
- *        corrupts every resumable campaign ledger retroactively.
- *
- * R10/R11 never fire inside tests/ (single-threaded by construction);
- * R12 only checks writer/parser pairs the manifest names.
+ * R12, serialized-schema drift: the field set a writer emits and its
+ * parser consumes is fingerprinted against the committed manifest
+ * tools/rsin_lint/schemas.json; changing the fields without bumping
+ * the schema version is an error, because it corrupts every resumable
+ * campaign ledger retroactively.  R12 only checks writer/parser pairs
+ * the manifest names; the two sides may sit in different files, so
+ * the rule runs over the whole-program index of symbols.hpp.
  */
 
 #include <map>
@@ -27,7 +16,6 @@
 #include <vector>
 
 #include "lint.hpp"
-#include "lockflow.hpp"
 #include "symbols.hpp"
 
 namespace rsin {
@@ -64,25 +52,11 @@ struct SchemaManifest
 
 /**
  * Parse a schemas.json document.  Throws std::runtime_error on
- * malformed JSON, a wrong schema tag, or a structurally incomplete
- * entry -- a silently ignored manifest would turn R12 off.
+ * malformed JSON (obs::parseJson's FatalError), a wrong schema tag,
+ * or a structurally incomplete entry -- a silently ignored manifest
+ * would turn R12 off.
  */
 SchemaManifest parseSchemaManifest(const std::string &json);
-
-/**
- * R10: unsynchronized writes to shared state in worker context.  A
- * write is flagged only when the lock-set analysis @p lf proves the
- * held set empty at the write on some worker-reachable path --
- * entry-context locks from callers count, "a guard somewhere earlier
- * in the body" does not.
- */
-std::vector<Finding> checkWorkerState(const Program &prog,
-                                      const WorkerAnalysis &wa,
-                                      const LockFlow &lf);
-
-/** R11: non-reentrant / unrouted-filesystem calls in worker context. */
-std::vector<Finding> checkWorkerCalls(const Program &prog,
-                                      const WorkerAnalysis &wa);
 
 /**
  * R12: writer/parser field sets vs the committed schema manifest.
@@ -93,10 +67,6 @@ std::vector<Finding> checkWorkerCalls(const Program &prog,
 std::vector<Finding>
 checkSchemas(const Program &prog, const SchemaManifest &manifest,
              const std::map<std::string, std::string> *textDocs);
-
-/** checkSchemas() with no text docs (token-mode entries only). */
-std::vector<Finding> checkSchemas(const Program &prog,
-                                  const SchemaManifest &manifest);
 
 /**
  * Read the side files named by @p manifest's text-mode entries from
